@@ -3,18 +3,13 @@
 Combines the paper's merging with the related-work counting execution:
 rules sharing a counted run (`[0-9]{1,3}\\.` …) share one counter with a
 belonging set, the same way plain sub-paths share arcs.  The bench
-builds a ranges-flavoured ruleset three ways — expanded + merged MFSA,
-per-rule counting engines, merged counting MFSA — and compares size and
-work, with matches asserted identical.
+compiles a ranges-flavoured ruleset three ways — expanded + merged MFSA,
+counting compile per rule (``merging_factor=1``), counting compile merged
+(``merging_factor=0``) — runs the counting ones on
+``backend="counting"`` and compares size and work, with matches asserted
+identical.
 """
 
-from repro.counting import (
-    CountingMergeReport,
-    CountingMfsaEngine,
-    CountingSetEngine,
-    build_counting_fsa,
-    merge_counting_fsas,
-)
 from repro.engine.imfant import IMfantEngine
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
 from repro.reporting.tables import format_table
@@ -39,25 +34,27 @@ STREAM = (
 
 def _build():
     expanded = compile_ruleset(RULES, CompileOptions(merging_factor=0, emit_anml=False))
-    per_rule = [(i, build_counting_fsa(p)) for i, p in enumerate(RULES)]
-    report = CountingMergeReport()
-    merged_counting = merge_counting_fsas(per_rule, report=report)
-    return expanded, per_rule, merged_counting, report
+    per_rule = compile_ruleset(
+        RULES, CompileOptions(counting=True, merging_factor=1, emit_anml=False)
+    )
+    merged = compile_ruleset(
+        RULES, CompileOptions(counting=True, merging_factor=0, emit_anml=False)
+    )
+    return expanded, per_rule, merged
 
 
 def test_counting_mfsa_ablation(benchmark):
-    expanded, per_rule, merged_counting, report = benchmark.pedantic(
-        _build, rounds=1, iterations=1
-    )
+    expanded, per_rule, merged = benchmark.pedantic(_build, rounds=1, iterations=1)
+    (merged_counting,) = merged.mfsas
 
     mfsa_run = IMfantEngine(expanded.mfsas[0]).run(STREAM)
     separate = set()
     separate_work = 0
-    for rule_id, cfsa in per_rule:
-        run = CountingSetEngine(cfsa, rule_id).run(STREAM)
+    for cmfsa in per_rule.mfsas:
+        run = IMfantEngine(cmfsa, backend="counting").run(STREAM)
         separate |= run.matches
         separate_work += run.stats.transitions_examined
-    merged_run = CountingMfsaEngine(merged_counting).run(STREAM)
+    merged_run = IMfantEngine(merged_counting, backend="counting").run(STREAM)
 
     assert mfsa_run.matches == separate == merged_run.matches
 
@@ -68,9 +65,9 @@ def test_counting_mfsa_ablation(benchmark):
             ("expanded MFSA (paper pipeline)",
              expanded.mfsas[0].num_states, expanded.mfsas[0].num_transitions,
              mfsa_run.stats.transitions_examined),
-            ("per-rule counting engines",
-             sum(c.num_states for _, c in per_rule),
-             sum(c.num_transitions for _, c in per_rule),
+            ("per-rule counting automata",
+             sum(c.num_states for c in per_rule.mfsas),
+             sum(c.num_transitions for c in per_rule.mfsas),
              separate_work),
             ("merged counting MFSA",
              merged_counting.num_states, merged_counting.num_transitions,
@@ -80,7 +77,7 @@ def test_counting_mfsa_ablation(benchmark):
     ))
     shared = [a for a in merged_counting.counting if len(a.bel) > 1]
     print(f"shared counters: {len(shared)} of {len(merged_counting.counting)} "
-          f"({report.merged_counting} counting arcs merged)")
+          f"({merged.merge_report.merged_transitions} arcs merged)")
 
     # the counting representations dodge the expansion blow-up
     assert merged_counting.num_states < expanded.mfsas[0].num_states / 2

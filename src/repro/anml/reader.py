@@ -38,16 +38,15 @@ def read_anml(text: str) -> Mfsa:
     if root.tag != "automata-network":
         raise AnmlFormatError(f"expected <automata-network>, got <{root.tag}>")
 
-    num_states = int(root.get("original-states", "0"))
-    mfsa = Mfsa(num_states=num_states)
+    mfsa = Mfsa(num_states=_int(root, "original-states", default="0"))
 
     rules_el = root.find("rules")
     if rules_el is None:
         raise AnmlFormatError("missing <rules> table")
     for rule_el in rules_el.findall("rule"):
-        rule = int(_require(rule_el, "id"))
-        mfsa.initials[rule] = int(_require(rule_el, "initial-state"))
-        mfsa.finals[rule] = {int(v) for v in _require(rule_el, "final-states").split()}
+        rule = _int(rule_el, "id")
+        mfsa.initials[rule] = _int(rule_el, "initial-state")
+        mfsa.finals[rule] = set(_ints(rule_el, "final-states"))
         pattern = rule_el.get("pattern")
         if pattern is not None:
             mfsa.patterns[rule] = pattern
@@ -57,7 +56,7 @@ def read_anml(text: str) -> Mfsa:
     ste_label: dict[str, CharClass] = {}
     for ste_el in root.findall("state-transition-element"):
         ste_id = _require(ste_el, "id")
-        ste_state[ste_id] = int(_require(ste_el, "original-state"))
+        ste_state[ste_id] = _int(ste_el, "original-state")
         ste_label[ste_id] = _parse_symbol_set(_require(ste_el, "symbol-set"))
 
     arcs: dict[tuple[int, int, int], frozenset[int]] = {}
@@ -66,8 +65,8 @@ def read_anml(text: str) -> Mfsa:
         ste_id = _require(ste_el, "id")
         # Extension records: arcs whose source state has no STE split.
         for start_arc in ste_el.findall("start-on-input"):
-            bel = frozenset(int(v) for v in _require(start_arc, "belongs-to").split())
-            key = (int(_require(start_arc, "from-state")), ste_state[ste_id], ste_label[ste_id].mask)
+            bel = frozenset(_ints(start_arc, "belongs-to"))
+            key = (_int(start_arc, "from-state"), ste_state[ste_id], ste_label[ste_id].mask)
             if key not in arcs:
                 arcs[key] = bel
                 order.append(key)
@@ -78,7 +77,7 @@ def read_anml(text: str) -> Mfsa:
             dst_id = _require(conn, "element")
             if dst_id not in ste_state:
                 raise AnmlFormatError(f"connection to unknown element {dst_id!r}")
-            bel = frozenset(int(v) for v in _require(conn, "belongs-to").split())
+            bel = frozenset(_ints(conn, "belongs-to"))
             key = (src_state, ste_state[dst_id], ste_label[dst_id].mask)
             if key in arcs:
                 if arcs[key] != bel:
@@ -87,9 +86,12 @@ def read_anml(text: str) -> Mfsa:
                 arcs[key] = bel
                 order.append(key)
 
-    for src, dst, mask in order:
-        mfsa.add_transition(src, dst, CharClass(mask), arcs[(src, dst, mask)])
-    mfsa.validate()
+    try:
+        for src, dst, mask in order:
+            mfsa.add_transition(src, dst, CharClass(mask), arcs[(src, dst, mask)])
+        mfsa.validate()
+    except ValueError as exc:
+        raise AnmlFormatError(f"invalid automaton: {exc}") from exc
     return mfsa
 
 
@@ -98,6 +100,29 @@ def _require(element: ET.Element, attr: str) -> str:
     if value is None:
         raise AnmlFormatError(f"<{element.tag}> missing required attribute {attr!r}")
     return value
+
+
+def _int(element: ET.Element, attr: str, default: str | None = None) -> int:
+    value = element.get(attr, default)
+    if value is None:
+        raise AnmlFormatError(f"<{element.tag}> missing required attribute {attr!r}")
+    try:
+        return int(value)
+    except ValueError:
+        raise AnmlFormatError(
+            f"<{element.tag}> attribute {attr!r} is not an integer: {value!r}"
+        ) from None
+
+
+def _ints(element: ET.Element, attr: str) -> list[int]:
+    """A whitespace-separated integer list attribute."""
+    value = _require(element, attr)
+    try:
+        return [int(v) for v in value.split()]
+    except ValueError:
+        raise AnmlFormatError(
+            f"<{element.tag}> attribute {attr!r} is not an integer list: {value!r}"
+        ) from None
 
 
 def _parse_symbol_set(text: str) -> CharClass:

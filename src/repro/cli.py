@@ -43,10 +43,12 @@ import repro.obs as obs
 from repro.anml.reader import read_anml
 from repro.counting import DEFAULT_MIN_COUNT_BOUND
 from repro.engine.dense import DEFAULT_PROMOTE_AFTER
+from repro.engine.imfant import _BACKENDS as ENGINE_BACKENDS
 from repro.engine.imfant import IMfantEngine
 from repro.engine.lazy import DEFAULT_CACHE_SIZE
 from repro.engine.multithread import run_pool
 from repro.guard.budget import Budget
+from repro.guard.degrade import BACKEND_LADDER
 from repro.guard.errors import (
     EXIT_PARTIAL,
     ReproError,
@@ -121,7 +123,7 @@ def _add_guard_flags(parser: argparse.ArgumentParser, degrade: bool = False) -> 
     if degrade:
         group.add_argument("--degrade", choices=("off", "auto"), default="off",
                            help="auto: step the backend ladder dense->lazy->"
-                                "numpy->python on allocation failure / cache "
+                                "python on allocation failure / cache "
                                 "thrash / failed dense promotion")
 
 
@@ -304,9 +306,7 @@ def match_main(argv: list[str] | None = None) -> int:
                         help="merging factor when compiling on the fly")
     parser.add_argument("-t", "--threads", type=int, default=1,
                         help="thread-pool size for multi-MFSA execution")
-    parser.add_argument("--backend",
-                        choices=("python", "numpy", "lazy", "dense", "counting"),
-                        default="python")
+    parser.add_argument("--backend", choices=ENGINE_BACKENDS, default="python")
     parser.add_argument("--lazy-cache-size", type=int, default=None, metavar="N",
                         help="lazy-backend transition-cache budget in entries "
                              "(default: %d)" % DEFAULT_CACHE_SIZE)
@@ -692,9 +692,7 @@ def obs_main(argv: list[str] | None = None) -> int:
                         help="generated stream size (default 64 KiB)")
     parser.add_argument("-m", "--merging-factor", type=int, default=0)
     parser.add_argument("-t", "--threads", type=int, default=1)
-    parser.add_argument("--backend",
-                        choices=("python", "numpy", "lazy", "dense", "counting"),
-                        default="python")
+    parser.add_argument("--backend", choices=ENGINE_BACKENDS, default="python")
     parser.add_argument("--lazy-cache-size", type=int, default=None, metavar="N",
                         help="lazy-backend transition-cache budget in entries "
                              "(default: %d)" % DEFAULT_CACHE_SIZE)
@@ -902,8 +900,7 @@ def _serve_run_main(argv: list[str]) -> int:
     parser.add_argument("--mode", choices=("thread", "process"), default="thread",
                         help="shard workers in-process (thread) or forked worker "
                              "processes loading the cached artifact (process)")
-    parser.add_argument("--backend",
-                        choices=("dense", "lazy", "numpy", "python", "counting"),
+    parser.add_argument("--backend", choices=BACKEND_LADDER + ("counting",),
                         default="lazy")
     _add_counting_flags(parser)
     parser.add_argument("--scan-strategy", choices=("auto", "sfa", "overlap"),

@@ -9,18 +9,20 @@ loops *compressed* with a counter and matches them in O(1) amortised
 work per byte.
 
 This package implements that comparator for the common DPI shape —
-bounded repeats of a single character class:
+bounded repeats of a single character class — on one model:
 
-* :mod:`repro.counting.model` — NFA extended with counting transitions;
+* :mod:`repro.counting.mfsa` — :class:`CountingMfsa`, the merged
+  automaton with plain and counting belonging-annotated arcs;
 * :mod:`repro.counting.build` — Thompson-like construction that keeps
-  width-1 bounded repeats as counting loops (everything else builds as
-  usual) plus the mixed-arc ε-removal;
-* :mod:`repro.counting.engine` — the counting-set streaming engine:
-  per-counter deques of entry offsets, so counts increment implicitly
-  with the stream position.
+  width-1 bounded repeats as counting arcs (everything else builds as
+  usual) and emits a one-rule :class:`CountingMfsa`;
+* :mod:`repro.counting.merge` — Algorithm 1 over mixed arcs;
+* :mod:`repro.counting.anml` — the counting ANML dialect.
 
-The counting ablation bench quantifies the trade-off against the
-expansion pipeline across bound sizes.
+Compile with ``CompileOptions(counting=True, count_threshold=N)`` and
+run with ``IMfantEngine(..., backend="counting")`` (counter registers in
+:mod:`repro.engine.counting`); the counting-backend bench quantifies the
+trade-off against the expansion pipeline across bound sizes.
 """
 
 from repro.counting.build import (
@@ -28,22 +30,15 @@ from repro.counting.build import (
     build_counting_fsa,
     build_counting_fsa_from_ast,
 )
-from repro.counting.engine import CountingSetEngine
 from repro.counting.merge import CountingMergeReport, merge_counting_fsas
 from repro.counting.mfsa import CMTransition, CountingMfsa
-from repro.counting.mfsa_engine import CountingMfsaEngine
-from repro.counting.model import CountingFsa, CountingTransition
 
 __all__ = [
-    "CountingFsa",
-    "CountingTransition",
-    "CountingSetEngine",
     "build_counting_fsa",
     "build_counting_fsa_from_ast",
     "DEFAULT_MIN_COUNT_BOUND",
     "CMTransition",
     "CountingMfsa",
-    "CountingMfsaEngine",
     "CountingMergeReport",
     "merge_counting_fsas",
 ]

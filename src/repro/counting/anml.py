@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
-from repro.anml.reader import AnmlFormatError, _parse_symbol_set
+from repro.anml.reader import AnmlFormatError, _int, _ints, _parse_symbol_set, _require
 from repro.counting.mfsa import CMTransition, CountingMfsa
 from repro.mfsa.model import MTransition
 
@@ -82,45 +82,43 @@ def read_counting_anml(text: str) -> CountingMfsa:
             f"expected <counting-automata-network>, got <{root.tag}>"
         )
 
-    cmfsa = CountingMfsa(num_states=int(_require(root, "states")))
+    cmfsa = CountingMfsa(num_states=_int(root, "states"))
     rules_el = root.find("rules")
     if rules_el is None:
         raise AnmlFormatError("missing <rules> table")
     for rule_el in rules_el.findall("rule"):
-        rule = int(_require(rule_el, "id"))
-        cmfsa.initials[rule] = int(_require(rule_el, "initial-state"))
-        cmfsa.finals[rule] = {int(v) for v in _require(rule_el, "final-states").split()}
+        rule = _int(rule_el, "id")
+        cmfsa.initials[rule] = _int(rule_el, "initial-state")
+        cmfsa.finals[rule] = set(_ints(rule_el, "final-states"))
         pattern = rule_el.get("pattern")
         if pattern is not None:
             cmfsa.patterns[rule] = pattern
 
     for el in root.findall("transition"):
         cmfsa.plain.append(MTransition(
-            int(_require(el, "from-state")),
-            int(_require(el, "to-state")),
+            _int(el, "from-state"),
+            _int(el, "to-state"),
             _parse_symbol_set(_require(el, "symbol-set")),
-            frozenset(int(v) for v in _require(el, "belongs-to").split()),
+            frozenset(_ints(el, "belongs-to")),
         ))
-    for el in root.findall("counting-transition"):
-        high = el.get("high")
-        cmfsa.counting.append(CMTransition(
-            int(_require(el, "from-state")),
-            int(_require(el, "to-state")),
-            _parse_symbol_set(_require(el, "symbol-set")),
-            int(_require(el, "low")),
-            int(high) if high is not None else None,
-            frozenset(int(v) for v in _require(el, "belongs-to").split()),
-        ))
-    cmfsa.validate()
+    try:
+        for el in root.findall("counting-transition"):
+            cmfsa.counting.append(CMTransition(
+                _int(el, "from-state"),
+                _int(el, "to-state"),
+                _parse_symbol_set(_require(el, "symbol-set")),
+                _int(el, "low"),
+                _int(el, "high") if el.get("high") is not None else None,
+                frozenset(_ints(el, "belongs-to")),
+            ))
+        cmfsa.validate()
+    except AnmlFormatError:
+        raise
+    except ValueError as exc:
+        raise AnmlFormatError(f"invalid counting automaton: {exc}") from exc
     return cmfsa
 
 
 def _ids(values) -> str:
     return " ".join(str(v) for v in sorted(values))
 
-
-def _require(element: ET.Element, attr: str) -> str:
-    value = element.get(attr)
-    if value is None:
-        raise AnmlFormatError(f"<{element.tag}> missing required attribute {attr!r}")
-    return value

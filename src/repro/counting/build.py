@@ -1,10 +1,12 @@
-"""Construction of counting NFAs from regex ASTs.
+"""Construction of single-rule counting automata from regex ASTs.
 
 A Thompson-like builder in which a bounded repeat whose body is a single
 character class — ``L{m,n}`` with m ≥ 1 — becomes one *counting arc*
 instead of an expanded chain; every other construct builds exactly as in
 :mod:`repro.automata.thompson` (ε-arcs and all).  A final mixed-arc
-ε-removal produces the ε-free :class:`repro.counting.model.CountingFsa`.
+ε-removal emits the canonical ε-free machine directly: a one-rule
+:class:`~repro.counting.mfsa.CountingMfsa`, the same model the merger
+folds rules into and the counting backend executes.
 
 ``min_count_bound`` controls when counting kicks in: tiny bounds expand
 (a 2-state chain beats counter bookkeeping), large bounds count.  Width-1
@@ -16,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.counting.model import CountingFsa, CountingTransition
+from repro.counting.mfsa import CMTransition, CountingMfsa
 from repro.frontend.ast import Alternation, AstNode, Concat, Empty, Literal, Repeat
 from repro.frontend.parser import parse
 from repro.labels import CharClass
+from repro.mfsa.model import MTransition
 
 #: Bounded repeats with high < this many copies expand instead of count.
 DEFAULT_MIN_COUNT_BOUND = 4
@@ -142,16 +145,18 @@ class _Builder:
 def build_counting_fsa(
     pattern: str,
     min_count_bound: int = DEFAULT_MIN_COUNT_BOUND,
-) -> CountingFsa:
-    """Compile a pattern into an ε-free counting NFA."""
-    return build_counting_fsa_from_ast(parse(pattern), pattern, min_count_bound)
+    rule: int = 0,
+) -> CountingMfsa:
+    """Compile a pattern into an ε-free one-rule counting automaton."""
+    return build_counting_fsa_from_ast(parse(pattern), pattern, min_count_bound, rule)
 
 
 def build_counting_fsa_from_ast(
     ast: AstNode,
     pattern: str,
     min_count_bound: int = DEFAULT_MIN_COUNT_BOUND,
-) -> CountingFsa:
+    rule: int = 0,
+) -> CountingMfsa:
     """Compile an already-parsed (and possibly optimized) AST.
 
     The pipeline's counting compile path parses and case-folds through
@@ -159,11 +164,15 @@ def build_counting_fsa_from_ast(
     survive to this builder) and hands the AST here."""
     builder = _Builder(min_count_bound=min_count_bound)
     entry, exit_ = builder.build(ast)
-    return _remove_epsilon(builder, entry, exit_, pattern)
+    return _remove_epsilon(builder, entry, exit_, pattern, rule)
 
 
-def _remove_epsilon(builder: _Builder, initial: int, final: int, pattern: str) -> CountingFsa:
-    """Closure-based ε-removal over mixed plain/counting arcs."""
+def _remove_epsilon(
+    builder: _Builder, initial: int, final: int, pattern: str, rule: int
+) -> CountingMfsa:
+    """Closure-based ε-removal over mixed plain/counting arcs, keeping
+    only states reachable from ``initial`` (renumbered densely in
+    construction order)."""
     eps_adj: dict[int, list[int]] = {}
     out_arcs: dict[int, list[_Arc]] = {}
     for arc in builder.arcs:
@@ -185,61 +194,43 @@ def _remove_epsilon(builder: _Builder, initial: int, final: int, pattern: str) -
 
     closures = [closure(q) for q in range(builder.num_states)]
 
-    fsa = CountingFsa(num_states=builder.num_states, initial=initial, pattern=pattern)
-    seen_plain: set[tuple[int, int, int]] = set()
-    seen_counting: set[tuple[int, int, int, int, int | None]] = set()
+    # ε-free arcs per source state, deduplicated
+    arcs_of: dict[int, list[_Arc]] = {}
     for q in range(builder.num_states):
+        seen_keys: set[tuple] = set()
         for p in closures[q]:
             for arc in out_arcs.get(p, ()):
-                assert arc.label is not None
-                if arc.counting is None:
-                    key = (q, arc.dst, arc.label.mask)
-                    if key not in seen_plain:
-                        seen_plain.add(key)
-                        fsa.plain.append((q, arc.dst, arc.label))
-                else:
-                    low, high = arc.counting
-                    ckey = (q, arc.dst, arc.label.mask, low, high)
-                    if ckey not in seen_counting:
-                        seen_counting.add(ckey)
-                        fsa.counting.append(
-                            CountingTransition(q, arc.dst, arc.label, low, high)
-                        )
-        if final in closures[q]:
-            fsa.finals.add(q)
+                key = (arc.dst, arc.label.mask, arc.counting)  # type: ignore[union-attr]
+                if key not in seen_keys:
+                    seen_keys.add(key)
+                    arcs_of.setdefault(q, []).append(arc)
 
-    return _trim(fsa)
-
-
-def _trim(fsa: CountingFsa) -> CountingFsa:
-    """Drop states unreachable from the initial state, renumber densely."""
-    adjacency: dict[int, list[int]] = {}
-    for src, dst, _ in fsa.plain:
-        adjacency.setdefault(src, []).append(dst)
-    for arc in fsa.counting:
-        adjacency.setdefault(arc.src, []).append(arc.dst)
-    seen = {fsa.initial}
-    stack = [fsa.initial]
+    # trim to states reachable from the initial state
+    reachable = {initial}
+    stack = [initial]
     while stack:
         state = stack.pop()
-        for nxt in adjacency.get(state, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    order = sorted(seen)
-    rename = {old: new for new, old in enumerate(order)}
+        for arc in arcs_of.get(state, ()):
+            if arc.dst not in reachable:
+                reachable.add(arc.dst)
+                stack.append(arc.dst)
+    rename = {old: new for new, old in enumerate(sorted(reachable))}
 
-    out = CountingFsa(num_states=len(order), initial=rename[fsa.initial], pattern=fsa.pattern)
-    out.finals = {rename[f] for f in fsa.finals if f in seen}
-    out.plain = [
-        (rename[src], rename[dst], label)
-        for src, dst, label in fsa.plain
-        if src in seen and dst in seen
-    ]
-    out.counting = [
-        CountingTransition(rename[a.src], rename[a.dst], a.label, a.low, a.high)
-        for a in fsa.counting
-        if a.src in seen and a.dst in seen
-    ]
+    bel = frozenset({rule})
+    out = CountingMfsa(num_states=len(rename))
+    out.initials[rule] = rename[initial]
+    out.finals[rule] = {rename[q] for q in rename if final in closures[q]}
+    out.patterns[rule] = pattern
+    for q in sorted(reachable):
+        for arc in arcs_of.get(q, ()):
+            label = arc.label
+            assert label is not None
+            if arc.counting is None:
+                out.plain.append(MTransition(rename[q], rename[arc.dst], label, bel))
+            else:
+                low, high = arc.counting
+                out.counting.append(
+                    CMTransition(rename[q], rename[arc.dst], label, low, high, bel)
+                )
     out.validate()
     return out

@@ -1,21 +1,24 @@
-"""Algorithm 1 generalised to counting NFAs.
+"""Algorithm 1 generalised to counting automata.
 
 Structurally identical to :mod:`repro.mfsa.merge` — same walks, Merging
 Structures and consistent (bijective) relabeling — but over the mixed
 arc model: an arc's *merge key* is its label mask for plain arcs and
 ``(label, low, high)`` for counting arcs, so counting arcs merge only
 when their class **and** bounds coincide (the exact-set rule of §III-A
-extended to counters).  Per-rule projections remain isomorphic to the
-input counting NFAs for the same reason as in the plain merger.
+extended to counters).  Inputs and output share one model,
+:class:`~repro.counting.mfsa.CountingMfsa`: each rule's automaton (as
+:func:`repro.counting.build.build_counting_fsa` emits it) folds into the
+growing merged automaton, so per-rule projections remain isomorphic to
+the inputs for the same reason as in the plain merger.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import dataclasses
+from dataclasses import dataclass
+from typing import Sequence
 
-from repro.counting.mfsa import CMTransition, CountingMfsa
-from repro.counting.model import CountingFsa
+from repro.counting.mfsa import CountingMfsa
 from repro.mfsa.model import MTransition
 
 
@@ -26,14 +29,6 @@ class _Arc:
     src: int
     dst: int
     key: tuple
-
-
-def _arcs_of_cfsa(cfsa: CountingFsa) -> list[_Arc]:
-    arcs = [_Arc(src, dst, ("#plain", label.mask)) for src, dst, label in cfsa.plain]
-    arcs += [
-        _Arc(a.src, a.dst, ("#count", a.label.mask, a.low, a.high)) for a in cfsa.counting
-    ]
-    return arcs
 
 
 def _arcs_of_cmfsa(z: CountingMfsa) -> list[_Arc]:
@@ -59,24 +54,23 @@ class CountingMergeReport:
 
 
 def merge_counting_fsas(
-    items: Sequence[tuple[int, CountingFsa]],
+    automata: Sequence[CountingMfsa],
     report: CountingMergeReport | None = None,
 ) -> CountingMfsa:
-    """Merge ``(rule_id, counting NFA)`` pairs into one counting MFSA."""
-    if not items:
+    """Merge counting automata (typically one rule each) into one."""
+    if not automata:
         raise ValueError("cannot merge an empty ruleset")
-    rules = [rule for rule, _ in items]
+    rules = [rule for a in automata for rule in a.initials]
     if len(set(rules)) != len(rules):
         raise ValueError("duplicate rule ids in merge input")
 
     stats = report if report is not None else CountingMergeReport()
-    stats.input_states = sum(cfsa.num_states for _, cfsa in items)
-    stats.input_transitions = sum(cfsa.num_transitions for _, cfsa in items)
+    stats.input_states = sum(a.num_states for a in automata)
+    stats.input_transitions = sum(a.num_transitions for a in automata)
 
-    first_rule, first = items[0]
-    z = _seed(first_rule, first)
-    for rule, cfsa in items[1:]:
-        _merge_one(z, rule, cfsa, stats)
+    z = CountingMfsa()
+    for a in automata:
+        _merge_one(z, a, stats)
 
     stats.output_states = z.num_states
     stats.output_transitions = z.num_transitions
@@ -84,23 +78,9 @@ def merge_counting_fsas(
     return z
 
 
-def _seed(rule: int, cfsa: CountingFsa) -> CountingMfsa:
-    z = CountingMfsa(num_states=cfsa.num_states)
-    z.initials[rule] = cfsa.initial
-    z.finals[rule] = set(cfsa.finals)
-    if cfsa.pattern is not None:
-        z.patterns[rule] = cfsa.pattern
-    bel = frozenset({rule})
-    z.plain = [MTransition(src, dst, label, bel) for src, dst, label in cfsa.plain]
-    z.counting = [
-        CMTransition(a.src, a.dst, a.label, a.low, a.high, bel) for a in cfsa.counting
-    ]
-    return z
-
-
-def _merge_one(z: CountingMfsa, rule: int, cfsa: CountingFsa, stats: CountingMergeReport) -> None:
+def _merge_one(z: CountingMfsa, a: CountingMfsa, stats: CountingMergeReport) -> None:
     z_arcs = _arcs_of_cmfsa(z)
-    a_arcs = _arcs_of_cfsa(cfsa)
+    a_arcs = _arcs_of_cmfsa(a)
 
     z_by_key: dict[tuple, list[int]] = {}
     z_out: dict[int, list[int]] = {}
@@ -131,47 +111,41 @@ def _merge_one(z: CountingMfsa, rule: int, cfsa: CountingFsa, stats: CountingMer
             seen.update(walk)
             structures.append(walk)
 
-    mapping = _consistent(z_arcs, a_arcs, structures)
-
-    relabel = dict(mapping)
-    for state in range(cfsa.num_states):
+    relabel = _consistent(z_arcs, a_arcs, structures)
+    for state in range(a.num_states):
         if state not in relabel:
             relabel[state] = z.add_state()
 
     plain_index = {(t.src, t.dst, t.label.mask): i for i, t in enumerate(z.plain)}
-    for src, dst, label in cfsa.plain:
-        key = (relabel[src], relabel[dst], label.mask)
+    for t in a.plain:
+        key = (relabel[t.src], relabel[t.dst], t.label.mask)
         existing = plain_index.get(key)
         if existing is not None:
             old = z.plain[existing]
-            z.plain[existing] = MTransition(old.src, old.dst, old.label, old.bel | {rule})
+            z.plain[existing] = MTransition(old.src, old.dst, old.label, old.bel | t.bel)
             stats.merged_plain += 1
         else:
-            z.plain.append(MTransition(key[0], key[1], label, frozenset({rule})))
+            z.plain.append(MTransition(key[0], key[1], t.label, t.bel))
             plain_index[key] = len(z.plain) - 1
 
     counting_index = {
-        (t.src, t.dst, t.label.mask, t.low, t.high): i for i, t in enumerate(z.counting)
+        (t.src, t.dst) + t.key(): i for i, t in enumerate(z.counting)
     }
-    for arc in cfsa.counting:
-        key = (relabel[arc.src], relabel[arc.dst], arc.label.mask, arc.low, arc.high)
-        existing = counting_index.get(key)
+    for t in a.counting:
+        src, dst = relabel[t.src], relabel[t.dst]
+        existing = counting_index.get((src, dst) + t.key())
         if existing is not None:
             old = z.counting[existing]
-            z.counting[existing] = CMTransition(
-                old.src, old.dst, old.label, old.low, old.high, old.bel | {rule}
-            )
+            z.counting[existing] = dataclasses.replace(old, bel=old.bel | t.bel)
             stats.merged_counting += 1
         else:
-            z.counting.append(
-                CMTransition(key[0], key[1], arc.label, arc.low, arc.high, frozenset({rule}))
-            )
-            counting_index[key] = len(z.counting) - 1
+            z.counting.append(dataclasses.replace(t, src=src, dst=dst))
+            counting_index[(src, dst) + t.key()] = len(z.counting) - 1
 
-    z.initials[rule] = relabel[cfsa.initial]
-    z.finals[rule] = {relabel[f] for f in cfsa.finals}
-    if cfsa.pattern is not None:
-        z.patterns[rule] = cfsa.pattern
+    for rule, initial in a.initials.items():
+        z.initials[rule] = relabel[initial]
+        z.finals[rule] = {relabel[f] for f in a.finals[rule]}
+    z.patterns.update(a.patterns)
 
 
 def _next_pair(z_arcs, z_out, a_arcs, a_out, cur):

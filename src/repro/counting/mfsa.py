@@ -1,16 +1,18 @@
 """Counting MFSA: the merging model extended to counting transitions.
 
-Combines the paper's two threads that this repository implements
-separately — MFSA merging (§III) and counting-set execution (related
-work [12]) — into one model: a merged automaton whose transitions are
+Combines MFSA merging (§III) and counting-set execution (related work
+[12]) in one model: a merged automaton whose transitions are
 either plain belonging-annotated arcs (as in :class:`repro.mfsa.model.Mfsa`)
 or *counting* arcs ``src ==[L]{low,high}==> dst`` that also carry a
 belonging set.  Two counting arcs merge only when label *and* bounds are
-identical, the natural extension of the paper's exact-CC rule.
+identical, the natural extension of the paper's exact-CC rule.  A
+single rule's automaton is just the one-rule case, so the builder, the
+merger and the counting backend all speak this one type.
 
 Rulesets like Ranges1 are full of shared counted runs
 (``[0-9]{1,3}\\.`` …), so sharing the counter pays exactly like sharing
-plain sub-paths; the ablation bench measures it.
+plain sub-paths; ``benchmarks/bench_ablation_counting_mfsa.py``
+measures it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from repro.mfsa.model import Mfsa, MTransition
 
 @dataclass(frozen=True)
 class CMTransition:
-    """A counting arc with a belonging set."""
+    """A counting arc with a belonging set.
+
+    ``src ==[L]{low,high}==> dst`` consumes between ``low`` and ``high``
+    consecutive symbols of the class ``L`` (``high is None`` =
+    unbounded): exactly the expanded chain of ``high`` plain arcs (or a
+    loop, when unbounded), stored and executed in constant space.
+    """
 
     src: int
     dst: int
@@ -32,6 +40,15 @@ class CMTransition:
     low: int
     high: Optional[int]
     bel: frozenset[int]
+
+    def __post_init__(self) -> None:
+        if self.low < 1:
+            raise ValueError("counting transitions require low >= 1 "
+                             "(optional repeats add a plain bypass arc)")
+        if self.high is not None and self.high < self.low:
+            raise ValueError("counting upper bound below lower bound")
+        if self.label.is_empty():
+            raise ValueError("counting transition label must be non-empty")
 
     def key(self) -> tuple:
         """Merge key: counting arcs merge on identical (label, bounds)."""
@@ -131,7 +148,7 @@ class CountingMfsa:
         exactly (property-tested against the register execution).
 
         This is the *ladder bridge*: it lets a counting-compiled
-        automaton run on any plain backend (lazy/numpy/python) when the
+        automaton run on any plain backend (dense/lazy/python) when the
         counting backend is unavailable or demoted — at the price of
         exactly the state growth the counting backend avoids.
         """
@@ -194,8 +211,6 @@ class CountingMfsa:
                 raise ValueError(f"counting arc {t} out of range")
             if not t.bel <= rules:
                 raise ValueError(f"counting arc {t} with unknown rules")
-            if t.low < 1 or (t.high is not None and t.high < t.low):
-                raise ValueError(f"counting arc {t} with bad bounds")
 
     def __repr__(self) -> str:
         return (

@@ -1,9 +1,10 @@
-"""uint64 popcount helpers with a pre-NumPy-2.0 fallback.
+"""uint64 popcount with a pre-NumPy-2.0 fallback.
 
-The engines count set bits of packed uint64 activation vectors on every
-sampled position; ``np.bitwise_count`` does that natively but only
-exists since NumPy 2.0, while the project supports ``numpy>=1.23``.
-The implementation is selected once at import time:
+iNFAnt's bit-vector backend (:mod:`repro.engine.infant`) counts set bits
+of its packed uint64 state vector on every sampled position;
+``np.bitwise_count`` does that natively but only exists since NumPy
+2.0, while the project supports ``numpy>=1.23``.  The implementation is
+selected once at import time:
 
 * NumPy ≥ 2.0 — :func:`np.bitwise_count` (vectorised per-element
   popcount);
@@ -18,23 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HAS_NATIVE_POPCOUNT", "popcount_rows", "popcount_total"]
+__all__ = ["HAS_NATIVE_POPCOUNT", "popcount_total"]
 
 #: True when the running NumPy provides ``np.bitwise_count`` (≥ 2.0).
 HAS_NATIVE_POPCOUNT = hasattr(np, "bitwise_count")
 
 
-def _popcount_rows_native(sv: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(sv).sum(axis=1)
-
-
 def _popcount_total_native(sv: np.ndarray) -> int:
     return int(np.bitwise_count(sv).sum())
-
-
-def _popcount_rows_unpackbits(sv: np.ndarray) -> np.ndarray:
-    bytes_view = np.ascontiguousarray(sv).view(np.uint8).reshape(len(sv), -1)
-    return np.unpackbits(bytes_view, axis=1).sum(axis=1, dtype=np.int64)
 
 
 def _popcount_total_unpackbits(sv: np.ndarray) -> int:
@@ -43,11 +35,8 @@ def _popcount_total_unpackbits(sv: np.ndarray) -> int:
 
 
 if HAS_NATIVE_POPCOUNT:
-    popcount_rows = _popcount_rows_native
     popcount_total = _popcount_total_native
 else:  # pragma: no cover - exercised only on numpy < 2.0
-    popcount_rows = _popcount_rows_unpackbits
     popcount_total = _popcount_total_unpackbits
 
-popcount_rows.__doc__ = """Per-row popcount of a ``(rows, limbs)`` uint64 matrix."""
 popcount_total.__doc__ = """Total popcount of a uint64 array (any shape)."""

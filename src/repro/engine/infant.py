@@ -65,7 +65,7 @@ class INfantEngine:
 
     def _run(self, payload: bytes, collect_stats: bool) -> RunResult:
         if self._np is not None:
-            return self._run_numpy(payload, collect_stats)
+            return self._run_bitvector(payload, collect_stats)
         tables = self.tables
         by_symbol = tables.by_symbol
         finals = tables.finals
@@ -105,7 +105,7 @@ class INfantEngine:
 
     # -- numpy (bit-vector) backend -----------------------------------------
 
-    def _run_numpy(self, payload: bytes, collect_stats: bool) -> RunResult:
+    def _run_bitvector(self, payload: bytes, collect_stats: bool) -> RunResult:
         assert self._np is not None
         np_tables = self._np
         result = RunResult()

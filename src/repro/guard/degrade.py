@@ -1,4 +1,4 @@
-"""The match-time degradation ladder: dense → lazy → numpy → python → per-rule.
+"""The match-time degradation ladder: dense → lazy → python → per-rule.
 
 A governed service must keep answering under pressure, just slower.
 :class:`GuardedMatcher` owns the engines for a (possibly quarantined)
@@ -79,7 +79,7 @@ def alloc_degrade_reason(exc: AllocationFailed) -> str:
 #: backend that can run an un-expanded :class:`CountingMfsa`, and it
 #: demotes straight to ``lazy`` (over the expanded automaton) rather
 #: than stepping through an index.
-BACKEND_LADDER = ("dense", "lazy", "numpy", "python")
+BACKEND_LADDER = ("dense", "lazy", "python")
 
 
 @dataclass(frozen=True)

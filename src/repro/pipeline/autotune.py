@@ -21,10 +21,10 @@ minimising modelled latency, and return an auditable report:
   fastest on this ruleset/traffic pair.  The per-backend cost model
   (:meth:`~repro.engine.cost.CostModel.backend_run_cost`) supplies the
   prediction column; selection itself is by measured warm wall-clock,
-  because the numpy backend's fixed per-char dispatch overhead makes
-  it *lose* to interpretive python on sparse-activation rulesets (the
-  dotstar regression) — exactly the kind of inversion a pure model
-  would keep mispredicting.
+  because a fixed per-char dispatch overhead a linear model does not
+  see can make a backend *lose* to interpretive python on
+  sparse-activation rulesets — exactly the kind of inversion a pure
+  model would keep mispredicting.
 
 The profiling cost is one engine pass per candidate over the sample
 (seconds at sample sizes).
@@ -42,6 +42,7 @@ from repro.engine.cost import CostModel
 from repro.engine.imfant import IMfantEngine
 from repro.engine.multithread import MachineModel, simulate_parallel_latency
 from repro.engine.sfa import SfaScanner
+from repro.guard.degrade import BACKEND_LADDER
 from repro.guard.errors import AllocationFailed
 from repro.mfsa.model import Mfsa
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
@@ -290,12 +291,12 @@ def choose_backend(
     not the warm-up ramp) and timed over ``repeats`` passes, keeping
     the best.  Selection is by measured wall-clock; the cost-model
     prediction rides along per candidate so a surprising pick is
-    auditable.  Measured selection is the point: the model's numpy
-    column is structurally optimistic on sparse-activation rulesets
-    (fixed kernel-dispatch overhead per char), and measurement is what
-    keeps such backends from being chosen where they lose.
+    auditable.  Every timed pass — the dense one included, after its
+    promotion — must return the first candidate's matches, or the
+    report raises ``AssertionError``.
 
-    ``backends=None`` picks the default ladder, prepending ``counting``
+    ``backends=None`` picks :data:`~repro.guard.degrade.BACKEND_LADDER`,
+    prepending ``counting``
     when ``mfsa`` is a :class:`~repro.counting.mfsa.CountingMfsa` with
     live counting arcs — the plain candidates then race over its
     expansion (:meth:`CountingMfsa.expand`), so the report shows
@@ -308,7 +309,7 @@ def choose_backend(
     cost_model = cost_model or CostModel()
     has_registers = isinstance(mfsa, CountingMfsa) and bool(mfsa.counting)
     if backends is None:
-        backends = ("dense", "lazy", "numpy", "python")
+        backends = BACKEND_LADDER
         if has_registers:
             backends = ("counting",) + backends
 
@@ -332,24 +333,24 @@ def choose_backend(
         try:
             engine = IMfantEngine(mfsa, backend=backend)
             engine.run(payload, collect_stats=False)
-            matches = engine.run(payload, collect_stats=False).matches
+            engine.run(payload, collect_stats=False)
             if backend == "dense":
                 engine.promote_dense(force=True)
         except AllocationFailed as exc:
             candidate.note = f"allocation failure: {exc}"
             continue
-        if reference is None:
-            reference = matches
-        elif matches != reference:
-            raise AssertionError(
-                f"backend {backend!r} disagrees with {backends[0]!r} on the sample"
-            )
         best = None
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
-            engine.run(payload, collect_stats=False)
+            matches = engine.run(payload, collect_stats=False).matches
             elapsed = time.perf_counter() - t0
             best = elapsed if best is None else min(best, elapsed)
+            if reference is None:
+                reference = matches
+            elif matches != reference:
+                raise AssertionError(
+                    f"backend {backend!r} disagrees with {backends[0]!r} on the sample"
+                )
         candidate.measured_seconds = best
 
     timed = [c for c in report.candidates if c.measured_seconds is not None]

@@ -128,7 +128,8 @@ class CompilationResult:
     patterns: list[str]
     options: CompileOptions
     #: optimised per-RE FSAs (the merger's input), indexed by rule id;
-    #: :class:`~repro.counting.model.CountingFsa` under ``counting=True``
+    #: one-rule :class:`~repro.counting.mfsa.CountingMfsa` automata under
+    #: ``counting=True``
     fsas: list[Fsa]
     #: the K = ⌈N/M⌉ merged automata
     #: (:class:`~repro.counting.mfsa.CountingMfsa` under ``counting=True``
@@ -330,7 +331,7 @@ def _finish_counting(
         for rule, (ast, pattern) in enumerate(zip(asts, patterns)):
             try:
                 cfsa = build_counting_fsa_from_ast(
-                    ast, pattern, min_count_bound=options.count_threshold
+                    ast, pattern, min_count_bound=options.count_threshold, rule=rule
                 )
             except RecursionError as exc:
                 raise CompileError(
@@ -348,12 +349,11 @@ def _finish_counting(
     # Mid-end: merging (Algorithm 1 over mixed plain/counting arcs).
     with _stage(times, "merging") as merge_span:
         merge_report = MergeReport()
-        items = list(enumerate(cfsas))
         factor = options.merging_factor
-        if factor <= 0 or factor >= len(items):
-            groups = [items]
+        if factor <= 0 or factor >= len(cfsas):
+            groups = [cfsas]
         else:
-            groups = [items[i:i + factor] for i in range(0, len(items), factor)]
+            groups = [cfsas[i:i + factor] for i in range(0, len(cfsas), factor)]
         mfsas: list = []
         for group in groups:
             group_report = CountingMergeReport()

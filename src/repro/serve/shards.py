@@ -23,7 +23,7 @@ them — so this module lifts chunkscan's overlap/stitch semantics into a
   ArtifactStore` instead of recompiling.
 * **Degradation** — an :class:`~repro.guard.errors.AllocationFailed`
   while building worker engines steps the pool down the
-  :data:`~repro.guard.degrade.BACKEND_LADDER` (dense → lazy → numpy → python)
+  :data:`~repro.guard.degrade.BACKEND_LADDER` (dense → lazy → python)
   and retries, mirroring :class:`~repro.guard.degrade.GuardedMatcher`;
   every step increments ``guard_degradations_total``.
 * **Supervision** — a dead worker process (OOM-kill, segfault, drill)

@@ -14,6 +14,8 @@ from hypothesis import settings as hypothesis_settings
 
 import repro.obs as obs
 from repro.automata.optimize import compile_re_to_fsa
+from repro.counting import build_counting_fsa, merge_counting_fsas
+from repro.engine.imfant import IMfantEngine
 from repro.guard import faultinject
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
@@ -31,6 +33,7 @@ hypothesis_settings.load_profile(
 #: REPRO_SOAK_EXAMPLES=2000 turns them into a long confidence run.
 SOAK_EXAMPLES = int(os.environ.get("REPRO_SOAK_EXAMPLES", "25"))
 from repro.mfsa.model import Mfsa
+from repro.pipeline.compiler import CompileOptions, compile_ruleset
 from repro.testing import (
     DEFAULT_ALPHABET as TEST_ALPHABET,
     ere_patterns,
@@ -46,6 +49,10 @@ __all__ = [
     "random_ruleset",
     "mfsa_equal",
     "compile_ruleset_fsas",
+    "counting_compile",
+    "counting_merge",
+    "expanded_compile",
+    "scan",
 ]
 
 
@@ -110,6 +117,37 @@ def mfsa_equal(a: Mfsa, b: Mfsa) -> bool:
 def compile_ruleset_fsas(patterns: list[str]):
     """(rule_id, optimised FSA) pairs for a list of patterns."""
     return [(i, compile_re_to_fsa(p)) for i, p in enumerate(patterns)]
+
+
+def counting_compile(patterns, threshold: int = 2, merging_factor: int = 0):
+    """MFSAs of the counting compile: repeats whose bound reaches
+    ``threshold`` become counting arcs, smaller ones expand."""
+    options = CompileOptions(counting=True, count_threshold=threshold,
+                             merging_factor=merging_factor, emit_anml=False)
+    return compile_ruleset(patterns, options).mfsas
+
+
+def expanded_compile(patterns):
+    """MFSAs of the loop-expanding pipeline: the counting oracle."""
+    return compile_ruleset(patterns, CompileOptions(emit_anml=False)).mfsas
+
+
+def counting_merge(patterns, threshold: int = 2):
+    """One :class:`CountingMfsa` over ``patterns`` (rule id = position),
+    even when no repeat reaches the threshold."""
+    return merge_counting_fsas([
+        build_counting_fsa(p, min_count_bound=threshold, rule=i)
+        for i, p in enumerate(patterns)
+    ])
+
+
+def scan(mfsas, payload, backend: str = "python", **kwargs) -> set:
+    """Union of ``(rule, end)`` matches of every automaton on ``payload``."""
+    out: set = set()
+    for mfsa in mfsas:
+        engine = IMfantEngine(mfsa, backend=backend, **kwargs)
+        out |= engine.run(payload, collect_stats=False).matches
+    return out
 
 
 @pytest.fixture

@@ -105,6 +105,22 @@ class TestReader:
                 "<rules><rule id=\"0\"/></rules></automata-network>"
             )
 
+    def test_non_integer_attribute(self):
+        bad = '<automata-network original-states="x"><rules/></automata-network>'
+        with pytest.raises(AnmlFormatError, match="not an integer"):
+            read_anml(bad)
+        with pytest.raises(AnmlFormatError, match="not an integer list"):
+            read_anml('<automata-network original-states="2"><rules>'
+                      '<rule id="0" initial-state="0" final-states="1 y"/>'
+                      '</rules></automata-network>')
+
+    def test_failed_validation_is_a_format_error(self):
+        bad = ('<automata-network original-states="1"><rules>'
+               '<rule id="0" initial-state="5" final-states="0"/>'
+               '</rules></automata-network>')
+        with pytest.raises(AnmlFormatError, match="out of range"):
+            read_anml(bad)
+
     def test_connection_to_unknown_element(self):
         bad = (
             '<automata-network original-states="2">'

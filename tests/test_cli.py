@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.anml.reader import AnmlFormatError
 from repro.cli import compile_main, match_main, report_main, viz_main
+from repro.guard.errors import exit_code_for
 
 
 @pytest.fixture
@@ -70,12 +72,29 @@ class TestMatchMain:
         assert match_main([str(stream_file), "--mfsa-dir", str(tmp_path / "nope")]) == 2
         assert "no .anml files" in capsys.readouterr().err
 
-    def test_numpy_backend_and_threads(self, ruleset_file, stream_file, capsys):
+    def test_lazy_backend_and_threads(self, ruleset_file, stream_file, capsys):
         assert match_main([
             str(stream_file), "--ruleset", str(ruleset_file),
-            "-m", "1", "-t", "2", "--backend", "numpy",
+            "-m", "1", "-t", "2", "--backend", "lazy",
         ]) == 0
         assert "3 MFSA(s)" in capsys.readouterr().out
+        with pytest.raises(SystemExit):  # the numpy iMFAnt backend is gone
+            match_main([str(stream_file), "--ruleset", str(ruleset_file),
+                        "--backend", "numpy"])
+
+    def test_malformed_anml_is_one_error_line(self, ruleset_file, stream_file,
+                                              tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        compile_main([str(ruleset_file), "-o", str(out_dir)])
+        (anml,) = out_dir.glob("*.anml")
+        text = anml.read_text()
+        assert 'original-states="' in text
+        anml.write_text(text.replace('original-states="', 'original-states="x', 1))
+        capsys.readouterr()
+        code = match_main([str(stream_file), "--mfsa-dir", str(out_dir)])
+        assert code == exit_code_for(AnmlFormatError("x")) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: anml:"), err
 
 
 class TestVizMain:

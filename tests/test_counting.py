@@ -1,4 +1,10 @@
-"""Tests for counting automata (construction + counting-set engine)."""
+"""Counting-compile construction and ``backend="counting"`` cases.
+
+Every case runs the one counting path — ``CompileOptions(counting=True,
+count_threshold=N)`` + ``IMfantEngine(backend="counting")`` — and checks
+it against the loop-expanded pipeline over the same patterns (see
+``tests/test_counting_backend.py`` for the randomized oracle).
+"""
 
 import re
 
@@ -7,65 +13,78 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata.optimize import compile_re_to_fsa
-from repro.automata.simulate import find_match_ends
-from repro.counting import CountingSetEngine, build_counting_fsa
-from repro.counting.model import CountingTransition
+from repro.counting import CMTransition, build_counting_fsa
+from repro.engine.imfant import IMfantEngine
 from repro.labels import CharClass
 
+from conftest import counting_compile, expanded_compile, scan
 
-def matches(pattern: str, text: str, min_count_bound: int = 1) -> set:
-    cfsa = build_counting_fsa(pattern, min_count_bound=min_count_bound)
-    return CountingSetEngine(cfsa).run(text).matches
+pytestmark = pytest.mark.counting
+
+RULE0 = frozenset({0})
+
+
+def matches(pattern: str, text: str, threshold: int = 2) -> set:
+    return scan(counting_compile([pattern], threshold), text, "counting")
 
 
 def expected(pattern: str, text: str) -> set:
-    return {(0, e) for e in find_match_ends(compile_re_to_fsa(pattern), text)}
+    return scan(expanded_compile([pattern]), text)
+
+
+def only(pattern: str, threshold: int = 2):
+    (mfsa,) = counting_compile([pattern], threshold)
+    return mfsa
+
+
+def counting_arcs(mfsa) -> list:
+    """Counting arcs of a compile result (plain MFSAs have none)."""
+    return list(getattr(mfsa, "counting", ()))
 
 
 class TestModel:
     def test_counting_arc_bounds_checked(self):
         with pytest.raises(ValueError):
-            CountingTransition(0, 1, CharClass.single("a"), low=0, high=3)
+            CMTransition(0, 1, CharClass.single("a"), low=0, high=3, bel=RULE0)
         with pytest.raises(ValueError):
-            CountingTransition(0, 1, CharClass.single("a"), low=3, high=2)
+            CMTransition(0, 1, CharClass.single("a"), low=3, high=2, bel=RULE0)
         with pytest.raises(ValueError):
-            CountingTransition(0, 1, CharClass.empty(), low=1, high=2)
+            CMTransition(0, 1, CharClass.empty(), low=1, high=2, bel=RULE0)
 
 
 class TestConstruction:
     def test_large_bound_stays_compressed(self):
-        cfsa = build_counting_fsa("a{500}b")
-        assert len(cfsa.counting) == 1
-        assert cfsa.num_states < 10
+        mfsa = only("a{500}b", threshold=4)
+        assert len(counting_arcs(mfsa)) == 1
+        assert mfsa.num_states < 10
         expanded = compile_re_to_fsa("a{200}b")  # budget caps at 256
         assert expanded.num_states > 100
 
     def test_small_bound_expands(self):
-        cfsa = build_counting_fsa("a{2}b", min_count_bound=4)
-        assert not cfsa.counting
+        assert not counting_arcs(only("a{2}b", threshold=4))
 
     def test_min_count_bound_dial(self):
-        assert build_counting_fsa("a{2}b", min_count_bound=1).counting
-        assert not build_counting_fsa("a{2}b", min_count_bound=10).counting
+        assert counting_arcs(only("a{2}b", threshold=2))
+        assert not counting_arcs(only("a{2}b", threshold=10))
 
     def test_only_width1_bodies_count(self):
-        cfsa = build_counting_fsa("(ab){100}")
-        assert not cfsa.counting  # multi-symbol body expands
+        assert not counting_arcs(only("(ab){100}"))  # multi-symbol body expands
 
     def test_unbounded_low_counts(self):
-        cfsa = build_counting_fsa("[xy]{50,}z")
-        assert len(cfsa.counting) == 1
-        assert cfsa.counting[0].high is None
+        (arc,) = counting_arcs(only("[xy]{50,}z"))
+        assert arc.high is None
 
     def test_optional_counting_has_bypass(self):
-        cfsa = build_counting_fsa("a{0,100}b", min_count_bound=1)
-        assert cfsa.counting
+        mfsa = only("a{0,100}b")
+        assert counting_arcs(mfsa)
         # the ε bypass survives as a plain path: "b" alone matches
-        assert CountingSetEngine(cfsa).run("b").matches == {(0, 1)}
+        assert scan([mfsa], "b", "counting") == {(0, 1)}
 
     def test_epsilon_free(self):
-        cfsa = build_counting_fsa("(a|b{10,20})c")
-        cfsa.validate()
+        mfsa = only("(a|b{10,20})c")
+        mfsa.validate()
+        text = "ac " + "b" * 15 + "c " + "b" * 9 + "c"
+        assert scan([mfsa], text, "counting") == expected("(a|b{10,20})c", text)
 
 
 class TestEngine:
@@ -102,16 +121,17 @@ class TestEngine:
         assert got == {(0, e) for e in (3, 4, 5, 6)}
 
     def test_counts_do_not_leak_across_runs(self):
-        engine = CountingSetEngine(build_counting_fsa("a{3}b"))
+        engine = IMfantEngine(only("a{3}b"), backend="counting")
         assert engine.run("aaab").matches == {(0, 4)}
-        assert engine.run("ab").matches == set()  # fresh state per run
+        assert engine.run("ab").matches == set()  # fresh registers per run
 
     def test_rule_id_tagging(self):
-        cfsa = build_counting_fsa("a{2}")
-        assert CountingSetEngine(cfsa, rule_id=9).run("aa").matches == {(9, 2)}
+        mfsa = build_counting_fsa("a{2}", min_count_bound=2, rule=9)
+        assert mfsa.rule_ids == [9]
+        assert IMfantEngine(mfsa, backend="counting").run("aa").matches == {(9, 2)}
 
     def test_stats(self):
-        stats = CountingSetEngine(build_counting_fsa("a{5}b")).run("a" * 10).stats
+        stats = IMfantEngine(only("a{5}b"), backend="counting").run("a" * 10).stats
         assert stats.chars_processed == 10
         assert stats.transitions_examined > 0
         assert stats.active_pair_total > 0

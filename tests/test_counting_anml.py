@@ -5,17 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anml.reader import AnmlFormatError
-from repro.counting import build_counting_fsa, merge_counting_fsas
 from repro.counting.anml import read_counting_anml, write_counting_anml
-from repro.counting.mfsa_engine import CountingMfsaEngine
 
-from conftest import ere_patterns, input_strings
+from conftest import counting_merge as build
+from conftest import ere_patterns, expanded_compile, input_strings, scan
 
-
-def build(patterns, min_count_bound=1):
-    items = [(i, build_counting_fsa(p, min_count_bound=min_count_bound))
-             for i, p in enumerate(patterns)]
-    return merge_counting_fsas(items)
+pytestmark = pytest.mark.counting
 
 
 def cmfsa_equal(a, b):
@@ -51,8 +46,8 @@ class TestRoundTrip:
         z = build(patterns)
         recovered = read_counting_anml(write_counting_anml(z))
         stream = "kabax kbbby"
-        assert CountingMfsaEngine(recovered).run(stream).matches == \
-            CountingMfsaEngine(z).run(stream).matches
+        assert scan([recovered], stream, "counting") == \
+            scan(expanded_compile(patterns), stream)
 
     def test_network_id(self):
         assert 'id="demo"' in write_counting_anml(build(["a{5}"]), network_id="demo")
@@ -79,12 +74,28 @@ class TestErrors:
         with pytest.raises(AnmlFormatError):
             read_counting_anml(bad)  # missing low
 
+    def test_non_integer_attribute(self):
+        bad = ('<counting-automata-network states="x"><rules/>'
+               '</counting-automata-network>')
+        with pytest.raises(AnmlFormatError, match="not an integer"):
+            read_counting_anml(bad)
+
+    def test_failed_validation_is_a_format_error(self):
+        bad = ('<counting-automata-network states="2"><rules>'
+               '<rule id="0" initial-state="0" final-states="1"/></rules>'
+               '<counting-transition from-state="0" to-state="1" symbol-set="a"'
+               ' low="0" belongs-to="0"/></counting-automata-network>')
+        with pytest.raises(AnmlFormatError, match="low >= 1"):
+            read_counting_anml(bad)
+        out_of_range = bad.replace('low="0"', 'low="1"').replace('to-state="1"', 'to-state="7"')
+        with pytest.raises(AnmlFormatError, match="out of range"):
+            read_counting_anml(out_of_range)
+
 
 @given(st.lists(ere_patterns(), min_size=1, max_size=3), input_strings())
 @settings(max_examples=50, deadline=None)
 def test_roundtrip_property(patterns, text):
-    z = build(patterns, min_count_bound=2)
+    z = build(patterns)
     recovered = read_counting_anml(write_counting_anml(z))
     assert cmfsa_equal(z, recovered)
-    assert CountingMfsaEngine(recovered).run(text).matches == \
-        CountingMfsaEngine(z).run(text).matches
+    assert scan([recovered], text, "counting") == scan([z], text, "counting")

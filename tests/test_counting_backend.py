@@ -25,7 +25,7 @@ See docs/testing.md for the conformance-oracle pattern.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
@@ -36,9 +36,11 @@ from repro.guard.errors import BudgetExceeded, ScanDeadlineExceeded
 from repro.mfsa import serialize
 from repro.pipeline.compiler import CompileOptions, compile_ruleset
 
+from conftest import counting_compile, expanded_compile, scan
+
 pytestmark = pytest.mark.counting
 
-BACKENDS = ("python", "numpy", "lazy", "dense", "counting")
+BACKENDS = ("python", "lazy", "dense", "counting")
 
 #: Text alphabet covering every atom the pattern strategy can emit.
 TEXT_ALPHABET = "abxy012 \n"
@@ -68,48 +70,34 @@ def texts(max_size: int = 120):
     return st.text(alphabet=TEXT_ALPHABET, max_size=max_size)
 
 
-def _compile_counting(patterns, threshold: int = 2):
-    return compile_ruleset(
-        patterns,
-        CompileOptions(counting=True, count_threshold=threshold, emit_anml=False),
-    ).mfsas
-
-
-def _compile_expanded(patterns):
-    return compile_ruleset(patterns, CompileOptions(emit_anml=False)).mfsas
-
-
-def _matches(mfsas, payload, backend: str = "python", **kwargs) -> set:
-    out: set = set()
-    for mfsa in mfsas:
-        engine = IMfantEngine(mfsa, backend=backend, **kwargs)
-        out |= engine.run(payload, collect_stats=False).matches
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The core differential property
 # ---------------------------------------------------------------------------
 
 
 @given(patterns=rulesets(), text=texts())
+@example(patterns=["(ab){100}"], text="ab" * 101)
+@example(patterns=["[xy]{50,}z"], text="x" * 49 + "z " + "xy" * 30 + "z")
+@example(patterns=["a{0,100}b"], text="b ab " + "a" * 101 + "b")
+@example(patterns=["(a|b{10,20})c"], text="ac " + "b" * 9 + "c " + "b" * 21 + "c")
+@example(patterns=["x[0-9]{5}a", "x[0-9]{5}b", "y"], text="x12345a x12345b x1234b y")
 @settings(max_examples=60, deadline=None)
 def test_counting_equals_expanded_oracle(patterns, text):
     """Counting backend == loop-expanded pipeline, byte for byte."""
-    counting = _compile_counting(patterns)
-    expanded = _compile_expanded(patterns)
-    assert _matches(counting, text, "counting") == _matches(expanded, text)
+    counting = counting_compile(patterns)
+    expanded = expanded_compile(patterns)
+    assert scan(counting, text, "counting") == scan(expanded, text)
 
 
 @given(patterns=rulesets(), text=texts(max_size=80))
 @settings(max_examples=25, deadline=None)
 def test_every_backend_agrees_on_counting_compile(patterns, text):
-    """All five backends agree over the same counting compile: the
+    """All four backends agree over the same counting compile: the
     counting backend runs the registers, the rest the expand() bridge."""
-    counting = _compile_counting(patterns)
-    reference = _matches(counting, text, "python")
+    counting = counting_compile(patterns)
+    reference = scan(counting, text, "python")
     for backend in BACKENDS[1:]:
-        assert _matches(counting, text, backend) == reference, backend
+        assert scan(counting, text, backend) == reference, backend
 
 
 @given(
@@ -123,7 +111,7 @@ def test_cut_point_invariance(patterns, text, chunk_size, threads):
     """Chunked scans at arbitrary cut points equal the sequential scan —
     bounded counting rulesets via overlap chunking, unbounded ones via
     the automatic sequential fallback."""
-    counting = _compile_counting(patterns)
+    counting = counting_compile(patterns)
     for mfsa in counting:
         sequential = IMfantEngine(mfsa, backend="counting").run(
             text, collect_stats=False
@@ -142,9 +130,9 @@ def test_cut_point_invariance(patterns, text, chunk_size, threads):
 @given(patterns=rulesets(), text=texts())
 @settings(max_examples=25, deadline=None)
 def test_single_match_is_first_match(patterns, text):
-    counting = _compile_counting(patterns)
-    full = _matches(counting, text, "counting")
-    first = _matches(counting, text, "counting", single_match=True)
+    counting = counting_compile(patterns)
+    full = scan(counting, text, "counting")
+    first = scan(counting, text, "counting", single_match=True)
     expected: dict = {}
     for rule, end in full:
         if rule not in expected or end < expected[rule]:
@@ -156,7 +144,7 @@ def test_single_match_is_first_match(patterns, text):
 @settings(max_examples=25, deadline=None)
 def test_serialize_round_trip(patterns):
     """Counting automata survive the JSON cache format exactly."""
-    for mfsa in _compile_counting(patterns):
+    for mfsa in counting_compile(patterns):
         restored = serialize.loads(serialize.dumps(mfsa))
         assert type(restored) is type(mfsa)
         assert restored.num_states == mfsa.num_states
@@ -176,9 +164,9 @@ def test_serialize_round_trip(patterns):
 def test_mid_scan_deadline_yields_sound_partial():
     from repro.guard import faultinject
 
-    mfsas = _compile_counting(["ab{3,9}c", "x[0-9]{2,}y"], threshold=2)
+    mfsas = counting_compile(["ab{3,9}c", "x[0-9]{2,}y"], threshold=2)
     payload = b"zabbbbc x12y " * 256
-    full = _matches(mfsas, payload, "counting")
+    full = scan(mfsas, payload, "counting")
     engine = IMfantEngine(
         mfsas[0], backend="counting", scan_deadline=0.02, deadline_stride=1
     )
@@ -213,8 +201,8 @@ def test_large_bound_compiles_where_expansion_refuses():
 
     body = bytes((33 + i % 90) for i in range(1000))  # printable, no \n
     payload = b"xxabc" + b"begin" + body + b"end" + b"abc"
-    oracle = _matches(_compile_expanded(patterns), payload)
-    assert _matches(counting, payload, "counting") == oracle
+    oracle = scan(expanded_compile(patterns), payload)
+    assert scan(counting, payload, "counting") == oracle
     assert any(rule == 0 for rule, _ in oracle)  # the repeat really fires
 
 
@@ -223,25 +211,25 @@ def test_below_threshold_drops_to_plain():
     returns plain MFSAs and the counting backend degenerates to the
     interpretive scan."""
     patterns = ["ab{2,3}c", "xy"]
-    mfsas = _compile_counting(patterns, threshold=64)
+    mfsas = counting_compile(patterns, threshold=64)
     assert all(not getattr(m, "counting", ()) for m in mfsas)
     payload = "zabbcxyz"
-    assert _matches(mfsas, payload, "counting") == _matches(
-        _compile_expanded(patterns), payload
+    assert scan(mfsas, payload, "counting") == scan(
+        expanded_compile(patterns), payload
     )
 
 
 def test_unbounded_width_is_none_bounded_is_finite():
-    bounded = _compile_counting(["ab{2,9}c"], threshold=2)[0]
-    unbounded = _compile_counting(["ab{2,}c"], threshold=2)[0]
+    bounded = counting_compile(["ab{2,9}c"], threshold=2)[0]
+    unbounded = counting_compile(["ab{2,}c"], threshold=2)[0]
     assert mfsa_max_width(bounded) is not None
     assert mfsa_max_width(unbounded) is None
 
 
 def test_counting_metrics_emitted():
-    mfsas = _compile_counting(["ab{3,9}c"], threshold=3)
+    mfsas = counting_compile(["ab{3,9}c"], threshold=3)
     with obs.capture() as cap:
-        _matches(mfsas, b"zabbbbc" * 16, "counting")
+        scan(mfsas, b"zabbbbc" * 16, "counting")
     names = {inst.name for inst in cap.registry.instruments()}
     assert {
         "imfant_counting_registers",

@@ -1,71 +1,72 @@
-"""Tests for counting-MFSA merging and its engine."""
+"""Counting-MFSA merging, run on ``backend="counting"``.
+
+Structural merge cases go through :func:`merge_counting_fsas` directly;
+engine cases compile with ``CompileOptions(counting=True)`` and check
+the counting backend against the loop-expanded pipeline.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automata.optimize import compile_re_to_fsa
-from repro.automata.simulate import find_match_ends
 from repro.counting import (
     CountingMergeReport,
-    CountingMfsaEngine,
-    CountingSetEngine,
     build_counting_fsa,
     merge_counting_fsas,
 )
+from repro.engine.imfant import IMfantEngine
 
-from conftest import ere_patterns, input_strings
+from conftest import (
+    counting_merge,
+    ere_patterns,
+    expanded_compile,
+    input_strings,
+    scan,
+)
+
+pytestmark = pytest.mark.counting
 
 
-def build_merged(patterns, min_count_bound=1):
-    items = [(i, build_counting_fsa(p, min_count_bound=min_count_bound))
-             for i, p in enumerate(patterns)]
-    return merge_counting_fsas(items)
-
-
-def per_rule_matches(patterns, text, min_count_bound=1):
-    out = set()
-    for rule_id, pattern in enumerate(patterns):
-        cfsa = build_counting_fsa(pattern, min_count_bound=min_count_bound)
-        out |= CountingSetEngine(cfsa, rule_id).run(text).matches
-    return out
+def oracle(patterns, text) -> set:
+    return scan(expanded_compile(patterns), text)
 
 
 class TestMerging:
     def test_shared_counting_arc(self):
         """Identical counted runs merge: one counter, both belongings."""
-        z = build_merged(["x[0-9]{5}a", "x[0-9]{5}b"])
+        z = counting_merge(["x[0-9]{5}a", "x[0-9]{5}b"])
         assert len(z.counting) == 1
         assert z.counting[0].bel == frozenset({0, 1})
 
     def test_different_bounds_do_not_merge(self):
-        z = build_merged(["x[0-9]{5}a", "x[0-9]{6}a"])
+        z = counting_merge(["x[0-9]{5}a", "x[0-9]{6}a"])
         assert len(z.counting) == 2
         assert all(len(arc.bel) == 1 for arc in z.counting)
 
     def test_different_labels_do_not_merge(self):
-        z = build_merged(["x[0-9]{5}a", "x[a-f]{5}a"])
+        z = counting_merge(["x[0-9]{5}a", "x[a-f]{5}a"])
         assert len(z.counting) == 2
 
     def test_plain_prefix_still_merges(self):
-        z = build_merged(["abc[x]{9}", "abd"])
+        z = counting_merge(["abc[x]{9}", "abd"])
         shared = [t for t in z.plain if len(t.bel) == 2]
         assert shared  # the ab prefix
 
     def test_compression_report(self):
         report = CountingMergeReport()
-        items = [(i, build_counting_fsa(p)) for i, p in
-                 enumerate(["q[0-9]{4}z", "q[0-9]{4}y"])]
-        merge_counting_fsas(items, report=report)
+        merge_counting_fsas(
+            [build_counting_fsa(p, rule=i) for i, p in enumerate(["q[0-9]{4}z", "q[0-9]{4}y"])],
+            report=report,
+        )
         assert report.merged_counting == 1
         assert report.state_compression > 0
 
     def test_errors(self):
         with pytest.raises(ValueError):
             merge_counting_fsas([])
-        cfsa = build_counting_fsa("a{5}")
+        cfsa = build_counting_fsa("a{5}", rule=1)
         with pytest.raises(ValueError):
-            merge_counting_fsas([(1, cfsa), (1, cfsa)])
+            merge_counting_fsas([cfsa, cfsa])
 
 
 class TestEngine:
@@ -77,46 +78,38 @@ class TestEngine:
         (["k{5}", "m"], "kkkkkm"),
     ])
     def test_merged_equals_per_rule(self, patterns, text):
-        z = build_merged(patterns)
-        got = CountingMfsaEngine(z).run(text).matches
-        assert got == per_rule_matches(patterns, text)
+        z = counting_merge(patterns)
+        assert scan([z], text, "counting") == oracle(patterns, text)
 
     def test_shared_counter_distinguishes_rules(self):
         """Both rules share the counter but only the right suffix fires."""
-        patterns = ["x[ab]{3}y", "x[ab]{3}z"]
-        z = build_merged(patterns)
-        got = CountingMfsaEngine(z).run("xabay").matches
-        assert got == {(0, 5)}
+        z = counting_merge(["x[ab]{3}y", "x[ab]{3}z"])
+        assert scan([z], "xabay", "counting") == {(0, 5)}
 
     def test_overlapping_entries_with_masks(self):
         patterns = ["ba{2,3}c", "a{2,3}c"]
-        z = build_merged(patterns)
+        z = counting_merge(patterns)
         for text in ("baac", "baaac", "aac", "aaac", "baacaaac"):
-            assert CountingMfsaEngine(z).run(text).matches == \
-                per_rule_matches(patterns, text), text
+            assert scan([z], text, "counting") == oracle(patterns, text), text
 
     def test_expansion_reference(self):
-        """The merged counting automaton equals the fully-expanded NFAs."""
+        """The merged counting automaton equals its own expansion."""
         patterns = ["x[ab]{2,3}y", "x[ab]{2,3}z"]
-        z = build_merged(patterns)
+        z = counting_merge(patterns)
         text = "xaby xaaby xbbbz xz"
-        expected = set()
-        for rule_id, pattern in enumerate(patterns):
-            expected |= {(rule_id, e)
-                         for e in find_match_ends(compile_re_to_fsa(pattern), text)}
-        assert CountingMfsaEngine(z).run(text).matches == expected
+        assert scan([z], text, "counting") == oracle(patterns, text)
+        assert scan([z.expand()], text) == oracle(patterns, text)
 
     def test_large_shared_bound(self):
-        patterns = ["h[ab]{200}x", "h[ab]{200}y"]
-        z = build_merged(patterns)
+        z = counting_merge(["h[ab]{200}x", "h[ab]{200}y"])
         assert len(z.counting) == 1
         assert z.num_states < 12
         text = "h" + "ab" * 100 + "x"
-        assert CountingMfsaEngine(z).run(text).matches == {(0, 202)}
+        assert scan([z], text, "counting") == {(0, 202)}
 
     def test_stats(self):
-        z = build_merged(["a{3}b", "c"])
-        stats = CountingMfsaEngine(z).run("aaab c").stats
+        z = counting_merge(["a{3}b", "c"])
+        stats = IMfantEngine(z, backend="counting").run("aaab c").stats
         assert stats.chars_processed == 6
         assert stats.match_count == 2
 
@@ -126,9 +119,8 @@ class TestEngine:
 def test_counting_mfsa_equivalence_property(data):
     patterns = data.draw(st.lists(ere_patterns(), min_size=1, max_size=3))
     text = data.draw(input_strings())
-    z = build_merged(patterns, min_count_bound=2)
-    got = CountingMfsaEngine(z).run(text).matches
-    assert got == per_rule_matches(patterns, text, min_count_bound=2)
+    z = counting_merge(patterns)
+    assert scan([z], text, "counting") == oracle(patterns, text)
 
 
 @given(
@@ -139,7 +131,7 @@ def test_counting_mfsa_equivalence_property(data):
 @settings(max_examples=100, deadline=None)
 def test_shared_counter_property(low, extra, text):
     patterns = [f"z[ab]{{{low},{low + extra}}}a", f"z[ab]{{{low},{low + extra}}}b"]
-    z = build_merged(patterns)
+    # threshold 1 (below the compile minimum) so even {1} repeats count
+    z = counting_merge(patterns, threshold=1)
     assert len(z.counting) == 1  # the counter is shared
-    got = CountingMfsaEngine(z).run(text).matches
-    assert got == per_rule_matches(patterns, text)
+    assert scan([z], text, "counting") == oracle(patterns, text)

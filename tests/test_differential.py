@@ -5,14 +5,14 @@ same ``(rule, end)`` set:
 
 1. per-rule reference NFA simulation (itself validated against `re`);
 2. iNFAnt per rule (python + numpy backends);
-3. iMFAnt over the merged MFSA (python + numpy + lazy), at several M;
+3. iMFAnt over the merged MFSA (python + lazy + dense + counting), at several M;
 4. the activation-function reference executor;
 5. the streaming chunked matcher;
 6. the ANML write→read→execute path;
 7. the decomposition prefilter engine;
 8. the DFA pipeline (subset construction → minimise → D2FA), when it
    fits the state budget;
-9. the counting-set engine, rule by rule.
+9. the counting compile on the counting backend.
 
 One failing engine pinpoints itself via the labelled assertion.
 """
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.anml import read_anml, write_anml
 from repro.automata.optimize import compile_re_to_fsa
 from repro.automata.simulate import find_match_ends
-from repro.counting import CountingSetEngine, build_counting_fsa
 from repro.decompose.engine import PrefilterEngine
 from repro.dfa import (
     D2faEngine,
@@ -39,7 +38,7 @@ from repro.engine.streaming import StreamingMatcher
 from repro.mfsa.activation import reference_match
 from repro.mfsa.merge import merge_fsas, merge_ruleset
 
-from conftest import ere_patterns, input_strings
+from conftest import counting_compile, ere_patterns, input_strings, scan
 
 
 @given(st.data())
@@ -60,13 +59,13 @@ def test_all_engines_agree(data):
             got |= INfantEngine(fsa, rule_id, backend=backend).run(text).matches
         assert got == oracle, f"iNFAnt[{backend}]"
 
-    # 3. iMFAnt at several merging factors (all five backends; lazy
+    # 3. iMFAnt at several merging factors (all four backends; lazy
     #    exercising its config-cache memoization, dense running cold —
     #    i.e. through the same lazy path under the dense driver — and
     #    counting in its zero-register degenerate mode on plain MFSAs)
     for m in (1, 2, 0):
         mfsas = merge_ruleset(fsas, m)
-        for backend in ("python", "numpy", "lazy", "dense", "counting"):
+        for backend in ("python", "lazy", "dense", "counting"):
             got = set()
             for mfsa in mfsas:
                 got |= IMfantEngine(mfsa, backend=backend).run(text).matches
@@ -116,9 +115,7 @@ def test_all_engines_agree(data):
         d2fa = compress_default_transitions(small)
         assert D2faEngine(d2fa).run(text).matches == oracle, "D2FA"
 
-    # 9. counting-set engine per rule (counting enabled for any bound)
-    got = set()
-    for rule_id, pattern in enumerate(patterns):
-        cfsa = build_counting_fsa(pattern, min_count_bound=2)
-        got |= CountingSetEngine(cfsa, rule_id).run(text).matches
-    assert got == oracle, "counting-set"
+    # 9. counting compile (counting enabled for any bound >= 2) on the
+    #    counting backend's registers
+    got = scan(counting_compile(patterns, threshold=2), text, "counting")
+    assert got == oracle, "counting"

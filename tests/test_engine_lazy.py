@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.engine.chunkscan import chunk_scan, ruleset_max_width
-from repro.engine.hybrid import HybridEngine
 from repro.engine.imfant import IMfantEngine
 from repro.engine.lazy import LazyConfigCache
 from repro.engine.tables import MfsaTables
 from repro.mfsa.activation import ActivationConfig, reference_match
 from repro.mfsa.merge import merge_fsas
 
-from conftest import compile_ruleset_fsas, ere_patterns, input_strings
+from conftest import compile_ruleset_fsas, counting_compile, ere_patterns, input_strings, scan
 
 
 def build(patterns):
@@ -198,11 +197,15 @@ class TestPlumbing:
         assert got == expected
 
     def test_hybrid_lazy(self):
+        """A mixed counting compile on the lazy backend (which runs the
+        expand() bridge) equals the counting backend's registers."""
         patterns = ["abc", "x[^\\n]{40,60}y"]
         data = "abc" + "x" + "q" * 50 + "y" + "abc"
-        base, _ = HybridEngine(patterns).run(data)
-        lazy, _ = HybridEngine(patterns, backend="lazy", lazy_cache_size=128).run(data)
-        assert lazy == base
+        mfsas = counting_compile(patterns, threshold=32)
+        assert any(getattr(m, "counting", ()) for m in mfsas)
+        base = scan(mfsas, data, "counting")
+        assert scan(mfsas, data, "lazy", lazy_cache_size=128) == base
+        assert (1, 55) in base
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Direct tests for the engine pre-processing tables (iNFAnt/iMFAnt layouts)."""
 
-import numpy as np
 import pytest
 
 from repro.automata.optimize import compile_re_to_fsa
@@ -45,46 +44,23 @@ class TestFsaTables:
 
 class TestMfsaTables:
     @pytest.fixture
-    def tables(self):
-        mfsa = merge_fsas(compile_ruleset_fsas(["ab", "a[bc]", "ad"]))
-        tables = MfsaTables.build(mfsa)
-        tables.ensure_arrays()
-        return tables
+    def mfsa(self):
+        return merge_fsas(compile_ruleset_fsas(["ab", "a[bc]", "ad"]))
+
+    @pytest.fixture
+    def tables(self, mfsa):
+        return MfsaTables.build(mfsa)
 
     def test_slot_to_rule_dense(self, tables):
         assert sorted(tables.slot_to_rule) == [0, 1, 2]
 
-    def test_numpy_arrays_consistent_with_lists(self, tables):
-        for byte in range(256):
-            triples = tables.by_symbol[byte]
-            if not triples:
-                assert tables.np_src[byte] is None
-                continue
-            assert tables.np_src[byte].tolist() == [t[0] for t in triples]
-            assert tables.np_dst[byte].tolist() == [t[1] for t in triples]
-            for row, (_, _, mask) in enumerate(triples):
-                words = tables.np_bel[byte][row]
-                rebuilt = 0
-                for i, word in enumerate(words.tolist()):
-                    rebuilt |= word << (64 * i)
-                assert rebuilt == mask
-
-    def test_final_rows_point_at_final_capable_destinations(self, tables):
-        for byte in range(256):
-            rows = tables.np_final_rows[byte]
-            if rows is None:
-                continue
-            dst = tables.np_dst[byte]
-            for row in rows.tolist():
-                assert tables.final_mask[int(dst[row])] != 0
-
-    def test_init_final_arrays_match_masks(self, tables):
+    def test_init_final_arrays_match_masks(self, mfsa, tables):
+        slot = {rule: i for i, rule in enumerate(tables.slot_to_rule)}
         for state in range(tables.num_states):
-            init_words = tables.np_init[state].tolist()
-            rebuilt = 0
-            for i, word in enumerate(init_words):
-                rebuilt |= word << (64 * i)
-            assert rebuilt == tables.init_mask[state]
+            init = {r for r, q0 in mfsa.initials.items() if q0 == state}
+            final = {r for r, finals in mfsa.finals.items() if state in finals}
+            assert tables.init_mask[state] == sum(1 << slot[r] for r in init)
+            assert tables.final_mask[state] == sum(1 << slot[r] for r in final)
 
     def test_empty_matching_rules_listed(self):
         mfsa = merge_fsas(compile_ruleset_fsas(["a*", "b"]))

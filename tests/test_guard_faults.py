@@ -11,7 +11,7 @@ from repro.engine.imfant import IMfantEngine
 from repro.guard import faultinject
 from repro.guard.budget import Budget
 from repro.guard.compiler import GuardedCompiler
-from repro.guard.degrade import DegradePolicy, GuardedMatcher
+from repro.guard.degrade import BACKEND_LADDER, DegradePolicy, GuardedMatcher
 from repro.guard.errors import (
     AllocationFailed,
     CompileError,
@@ -80,9 +80,12 @@ class TestScanFaults:
         assert partial.stats.wall_seconds > 0
 
     def test_partial_result_keeps_matches_found_so_far(self, mfsa):
-        engine = IMfantEngine(mfsa, scan_deadline=0.02, deadline_stride=1)
+        # The three 1 ms steps before the (0, 3) match leave ~197 ms of
+        # headroom under the 200 ms deadline (robust under load), while
+        # the 1024-byte tail sleeps >1 s and so always forces expiry.
+        engine = IMfantEngine(mfsa, scan_deadline=0.2, deadline_stride=1)
         payload = b"abc" + b"z" * 1024
-        with faultinject.inject("engine.step_delay", 0.005):
+        with faultinject.inject("engine.step_delay", 0.001):
             with pytest.raises(ScanDeadlineExceeded) as info:
                 engine.run(payload)
         assert (0, 3) in info.value.partial.matches
@@ -96,19 +99,22 @@ class TestScanFaults:
 
 class TestAllocFaults:
     def test_alloc_fault_becomes_allocation_failed(self, mfsa):
-        with faultinject.inject("alloc", "numpy"):
+        with faultinject.inject("alloc", "lazy"):
             with pytest.raises(AllocationFailed) as info:
-                IMfantEngine(mfsa, backend="numpy")
+                IMfantEngine(mfsa, backend="lazy")
         assert isinstance(info.value, ReproError)
-        assert "numpy" in str(info.value)
+        assert "lazy" in str(info.value)
 
     def test_guarded_matcher_degrades_past_the_fault(self, mfsa):
-        with faultinject.inject("alloc", "numpy"):
-            matcher = GuardedMatcher([mfsa], backend="numpy")
+        with faultinject.inject("alloc", "lazy"):
+            matcher = GuardedMatcher([mfsa], backend="lazy")
             run = matcher.run(b"zzabczzabdzz")
         assert matcher.backend == "python"
         assert [s.to_backend for s in run.degradations] == ["python"]
         assert (0, 5) in run.matches and (1, 10) in run.matches
+
+    def test_ladder_rungs(self):
+        assert BACKEND_LADDER == ("dense", "lazy", "python")
 
     def test_ladder_bottom_propagates(self, mfsa):
         with faultinject.inject("alloc", True):
@@ -117,9 +123,9 @@ class TestAllocFaults:
 
     def test_policy_can_refuse_to_degrade(self, mfsa):
         policy = DegradePolicy(on_alloc_failure=False)
-        with faultinject.inject("alloc", "numpy"):
+        with faultinject.inject("alloc", "lazy"):
             with pytest.raises(AllocationFailed):
-                GuardedMatcher([mfsa], backend="numpy", policy=policy).run(b"abc")
+                GuardedMatcher([mfsa], backend="lazy", policy=policy).run(b"abc")
 
 
 class TestCachePressureFaults:
@@ -136,18 +142,18 @@ class TestCachePressureFaults:
         # the thrashing run itself is exact ...
         assert (0, 3) in first.matches
         # ... and the matcher has stepped down for subsequent runs
-        assert matcher.backend == "numpy"
+        assert matcher.backend == "python"
         assert any("cache-thrash" in s.reason for s in matcher.degradations)
 
 
 class TestEnvActivation:
     def test_repro_faults_env_parses(self):
         armed = faultinject.load_env(
-            {"REPRO_FAULTS": "engine.step_delay=0.01, alloc=numpy"}
+            {"REPRO_FAULTS": "engine.step_delay=0.01, alloc=lazy"}
         )
         assert armed == 2
         assert faultinject.value("engine.step_delay") == 0.01
-        assert faultinject.value("alloc") == "numpy"
+        assert faultinject.value("alloc") == "lazy"
 
     def test_unknown_point_is_loud(self):
         with pytest.raises(ValueError):
@@ -173,8 +179,8 @@ class TestGuardCounters:
 
     def test_degradations_counted(self, mfsa):
         with obs.capture() as cap:
-            with faultinject.inject("alloc", "numpy"):
-                GuardedMatcher([mfsa], backend="numpy").run(b"abc")
+            with faultinject.inject("alloc", "lazy"):
+                GuardedMatcher([mfsa], backend="lazy").run(b"abc")
         counter = next(i for i in cap.registry.instruments()
                        if i.name == "guard_degradations_total")
         assert counter.snapshot()["value"] == 1

@@ -83,10 +83,10 @@ class TestDfaOffsetZeroMatches:
         assert (0, 0) in DfaEngine(dfa).run(b"").matches
 
 
-class TestNumpyPopOnFinalLimbs:
-    """pop_on_final in the numpy backend originally deduplicated clears
-    per *state*, skipping the second limb when one state's hits spanned
-    multiple 64-bit words."""
+class TestPopOnFinalLimbs:
+    """pop_on_final must clear every hit rule when one state's hits span
+    multiple 64-bit mask words (a uint64-limb backend once deduplicated
+    clears per *state* and skipped the second limb)."""
 
     def test_multi_limb_pop(self):
         # >64 rules all sharing a final state exercises multi-limb hits
@@ -94,8 +94,10 @@ class TestNumpyPopOnFinalLimbs:
         mfsa = merge_fsas(compile_ruleset_fsas(list(dict.fromkeys(patterns))))
         text = "ab ac ad"
         py = IMfantEngine(mfsa, "python", pop_on_final=True).run(text).matches
-        np_ = IMfantEngine(mfsa, "numpy", pop_on_final=True).run(text).matches
-        assert py == np_
+        assert py
+        for backend in ("lazy", "dense"):
+            got = IMfantEngine(mfsa, backend, pop_on_final=True).run(text).matches
+            assert got == py, backend
 
 
 class TestRequiredLiteralRuns:

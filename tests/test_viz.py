@@ -72,8 +72,8 @@ class TestCountingMfsaDot:
         from repro.viz import counting_mfsa_to_dot
 
         z = merge_counting_fsas([
-            (0, build_counting_fsa("x[ab]{5}y")),
-            (1, build_counting_fsa("x[ab]{5}z")),
+            build_counting_fsa("x[ab]{5}y", rule=0),
+            build_counting_fsa("x[ab]{5}z", rule=1),
         ])
         dot = counting_mfsa_to_dot(z)
         assert "style=dashed" in dot
