@@ -1,6 +1,6 @@
 # Convenience targets for the common workflows.
 
-.PHONY: install dev test bench bench-verbose report reproduce examples obs-smoke guard-smoke serve-smoke loadgen-smoke sfa-smoke dense-smoke chaos-smoke counting-smoke ci clean
+.PHONY: install dev test bench bench-verbose report reproduce examples obs-smoke guard-smoke serve-smoke loadgen-smoke sfa-smoke dense-smoke chaos-smoke counting-smoke perf-smoke ci clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -105,9 +105,19 @@ counting-smoke:
 	PYTHONPATH=src pytest tests/ -m counting -q
 	PYTHONPATH=src timeout 600 python benchmarks/bench_counting_backend.py --smoke
 
+# End-to-end perf smoke: a short serve_tcp run of the benchmark (the
+# 300-rule suite served by `repro serve` over its socket, closed-loop
+# traffic and a hot reload, every reply checked against the oracle);
+# fails unless the result line reports "correct": true.
+perf-smoke:
+	@sh -c 'out=$$(timeout 600 python3 perfbench/run.py --workload serve_tcp \
+	    --seed 1 --seconds 4); status=$$?; echo "$$out"; \
+	  test $$status -eq 0 && echo "$$out" | tail -n 1 | grep -q "\"correct\": true" \
+	  && echo "perf-smoke: serve_tcp correct"'
+
 # What .github/workflows/ci.yml runs, for local use: the tier-1 suite
 # plus the observability, governance, serving, loadgen, SFA, dense,
-# chaos and counting smokes.
+# chaos, counting and perf smokes.
 ci:
 	PYTHONPATH=src python -m pytest -x -q
 	$(MAKE) obs-smoke
@@ -118,6 +128,7 @@ ci:
 	$(MAKE) dense-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) counting-smoke
+	$(MAKE) perf-smoke
 
 clean:
 	rm -rf .pytest_cache .hypothesis .benchmarks build dist *.egg-info \

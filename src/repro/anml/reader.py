@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
+from repro.frontend.errors import RegexSyntaxError
 from repro.frontend.lexer import tokenize, TokenKind
 from repro.guard.errors import FormatError
 from repro.labels import CharClass
@@ -128,7 +129,10 @@ def _ints(element: ET.Element, attr: str) -> list[int]:
 def _parse_symbol_set(text: str) -> CharClass:
     """Parse a symbol-set rendered by :meth:`CharClass.pattern` (a single
     character, an escape, ``.`` or a bracket expression) via the ERE lexer."""
-    tokens = tokenize(text)
+    try:
+        tokens = tokenize(text)
+    except RegexSyntaxError as exc:
+        raise AnmlFormatError(f"symbol-set {text!r} does not parse: {exc.message}") from exc
     if len(tokens) != 2:  # symbol + END
         raise AnmlFormatError(f"symbol-set is not a single class: {text!r}")
     token = tokens[0]

@@ -48,7 +48,8 @@ Points
     ``True`` = every scan; a float in (0, 1) = per-scan probability.
 ``serve.worker.hang``
     Sleep on shard-scan entry, ignoring the engine deadline — the
-    wedged-worker drill for the per-scan watchdog.  The arg is the hang
+    wedged-worker drill for the per-scan watchdog.  Only fired from
+    process-mode workers (the watchdog's domain).  The arg is the hang
     in seconds (``True`` = 30).
 ``serve.conn.drop``
     Drop the server-side connection instead of writing a reply — the

@@ -121,6 +121,14 @@ class TestReader:
         with pytest.raises(AnmlFormatError, match="out of range"):
             read_anml(bad)
 
+    def test_malformed_symbol_set(self):
+        bad = ('<automata-network original-states="2"><rules>'
+               '<rule id="0" initial-state="0" final-states="1"/></rules>'
+               '<state-transition-element id="ste0" symbol-set="[" original-state="1"/>'
+               "</automata-network>")
+        with pytest.raises(AnmlFormatError, match="symbol-set"):
+            read_anml(bad)
+
     def test_connection_to_unknown_element(self):
         bad = (
             '<automata-network original-states="2">'

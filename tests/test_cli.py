@@ -1,5 +1,7 @@
 """Tests for the command-line entry points."""
 
+import re
+
 import pytest
 
 from repro.anml.reader import AnmlFormatError
@@ -93,6 +95,22 @@ class TestMatchMain:
         capsys.readouterr()
         code = match_main([str(stream_file), "--mfsa-dir", str(out_dir)])
         assert code == exit_code_for(AnmlFormatError("x")) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: anml:"), err
+
+
+    def test_malformed_symbol_set_is_one_error_line(self, ruleset_file, stream_file,
+                                                    tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        compile_main([str(ruleset_file), "-o", str(out_dir)])
+        (anml,) = out_dir.glob("*.anml")
+        text, count = re.subn(r'symbol-set="[^"]*"', 'symbol-set="["',
+                              anml.read_text(), count=1)
+        assert count == 1
+        anml.write_text(text)
+        capsys.readouterr()
+        code = match_main([str(stream_file), "--mfsa-dir", str(out_dir)])
+        assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: anml:"), err
 

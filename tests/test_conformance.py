@@ -213,10 +213,21 @@ def _oracle(mfsas, payload: bytes) -> set:
     return matches
 
 
+def _disk_artifact(tmp_path, patterns, mfsas):
+    """An on-disk artifact: process-mode workers load it by path."""
+    from repro.serve.artifacts import Artifact, ArtifactStore, ruleset_key
+
+    key = ruleset_key(patterns)
+    path = ArtifactStore(tmp_path).save(key, patterns, mfsas)
+    return Artifact(key=key, patterns=list(patterns), mfsas=list(mfsas),
+                    loaded_from_cache=False, path=path)
+
+
 @pytest.mark.serve
 @pytest.mark.parametrize("num_shards", [2, 3, 5])
-def test_shard_pool_equals_single_pass(compiled_builtins, num_shards):
-    from repro.serve.artifacts import Artifact, ruleset_key
+def test_shard_pool_equals_single_pass(compiled_builtins, num_shards, tmp_path):
+    """Overlap fan-out over worker processes == one pass, with a match
+    planted across every shard boundary."""
     from repro.serve.shards import ShardPool
 
     patterns, mfsas = compiled_builtins["tokens_exact"]
@@ -228,15 +239,12 @@ def test_shard_pool_equals_single_pass(compiled_builtins, num_shards):
         pos = cut * len(payload) // num_shards - len(token) // 2
         payload = payload[:pos] + token + payload[pos + len(token):]
 
-    artifact = Artifact(
-        key=ruleset_key(patterns),
-        patterns=list(patterns),
-        mfsas=list(mfsas),
-        loaded_from_cache=False,
-    )
-    with ShardPool(artifact, num_shards=num_shards, backend="lazy") as pool:
+    artifact = _disk_artifact(tmp_path, patterns, mfsas)
+    with ShardPool(artifact, num_shards=num_shards, backend="lazy",
+                   mode="process") as pool:
         result = pool.scan(payload)
     assert result.shards == num_shards
+    assert result.strategy == "overlap"
     assert not result.partial
     assert result.matches == _oracle(mfsas, payload)
 
@@ -249,11 +257,10 @@ def test_shard_pool_equals_single_pass(compiled_builtins, num_shards):
 ])
 @pytest.mark.parametrize("num_shards", [2, 4])
 def test_shard_pool_sfa_equals_single_pass(compiled_builtins, name, strategy,
-                                           num_shards):
-    """Mapping-mode sharding (zero overlap bytes) must stay byte-identical
-    to the single-shot oracle — including on unbounded rulesets, where
-    the overlap planner previously fell back to a sequential scan."""
-    from repro.serve.artifacts import Artifact, ruleset_key
+                                           num_shards, tmp_path):
+    """Mapping-mode sharding (zero overlap bytes, process workers) must
+    stay byte-identical to the single-shot oracle — including on
+    unbounded rulesets, where overlap planning has no sound cut."""
     from repro.serve.shards import ShardPool
 
     patterns, mfsas = compiled_builtins[name]
@@ -261,28 +268,17 @@ def test_shard_pool_sfa_equals_single_pass(compiled_builtins, name, strategy,
         assert ruleset_max_width(patterns) is None  # genuinely unbounded
     payload = _demo_stream(patterns, STREAM_BYTES)
 
-    artifact = Artifact(
-        key=ruleset_key(patterns),
-        patterns=list(patterns),
-        mfsas=list(mfsas),
-        loaded_from_cache=False,
-    )
-    with ShardPool(artifact, num_shards=num_shards,
+    artifact = _disk_artifact(tmp_path, patterns, mfsas)
+    with ShardPool(artifact, num_shards=num_shards, mode="process",
                    scan_strategy=strategy) as pool:
         assert pool.scan_strategy == "sfa"
         result = pool.scan(payload)
+        first = pool.scan(payload, single_match=True)
     assert result.shards == num_shards
     assert result.strategy == "sfa"
     assert not result.partial
     assert result.matches == _oracle(mfsas, payload)
 
-    single = Artifact(
-        key=ruleset_key(patterns), patterns=list(patterns),
-        mfsas=list(mfsas), loaded_from_cache=False,
-    )
-    with ShardPool(single, num_shards=num_shards,
-                   scan_strategy=strategy) as pool:
-        first = pool.scan(payload, single_match=True)
     expected = {}
     for rule, end in result.matches:
         if rule not in expected or end < expected[rule]:
@@ -292,7 +288,8 @@ def test_shard_pool_sfa_equals_single_pass(compiled_builtins, name, strategy,
 
 @pytest.mark.serve
 def test_serve_socket_round_trip_equals_single_process(compiled_builtins, tmp_path):
-    """End to end: repro serve + client == single-process match, ≥2 shards."""
+    """End to end: repro serve + client == single-process match, over two
+    process shards."""
     from repro.serve import ArtifactStore, MatchClient, ServeConfig, ServerThread
 
     patterns, mfsas = compiled_builtins["protein_motifs"]
@@ -306,7 +303,7 @@ def test_serve_socket_round_trip_equals_single_process(compiled_builtins, tmp_pa
     artifact = ArtifactStore(tmp_path / "cache").get_or_compile(
         patterns, CompileOptions(emit_anml=False)
     )
-    config = ServeConfig(shards=2, batch_max=4, queue_depth=16)
+    config = ServeConfig(shards=2, batch_max=4, queue_depth=16, mode="process")
     with ServerThread(artifact, config) as address:
         with MatchClient.connect(address) as client:
             result = client.match(payload)

@@ -92,6 +92,15 @@ class TestErrors:
             read_counting_anml(out_of_range)
 
 
+    def test_malformed_symbol_set(self):
+        bad = ('<counting-automata-network states="2"><rules>'
+               '<rule id="0" initial-state="0" final-states="1"/></rules>'
+               '<counting-transition from-state="0" to-state="1" symbol-set="["'
+               ' low="1" belongs-to="0"/></counting-automata-network>')
+        with pytest.raises(AnmlFormatError, match="symbol-set"):
+            read_counting_anml(bad)
+
+
 @given(st.lists(ere_patterns(), min_size=1, max_size=3), input_strings())
 @settings(max_examples=50, deadline=None)
 def test_roundtrip_property(patterns, text):
