@@ -239,6 +239,9 @@ def compile_ruleset(patterns: Sequence[str], options: CompileOptions | None = No
                         stage="ast_to_fsa", rule=rule,
                     )
                 nfas.append(nfa)
+            # each stage drops what only it read, so the compile's peak
+            # heap holds about one automaton per rule, not three
+            del asts
 
         # Mid-end: single-FSA optimisation.
         with _stage(times, "single_opt"):
@@ -246,6 +249,7 @@ def compile_ruleset(patterns: Sequence[str], options: CompileOptions | None = No
                 optimize_fsa(nfa, options.optimize, meter=meter, rule=rule)
                 for rule, nfa in enumerate(nfas)
             ]
+            del nfas
             if options.stratify_charclasses:
                 fsas = stratify_ruleset(fsas)
 

@@ -15,13 +15,15 @@ instead.
 
 from __future__ import annotations
 
+import tempfile
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.chunkscan import ruleset_max_width
 from repro.engine.imfant import IMfantEngine
 from repro.mfsa.merge import merge_fsas
-from repro.serve.artifacts import Artifact, ruleset_key
+from repro.serve.artifacts import Artifact, ArtifactStore, ruleset_key
 from repro.serve.shards import ShardJob, ShardPool, plan_shards, rebase_matches
 
 from conftest import compile_ruleset_fsas, ere_patterns, input_strings
@@ -142,6 +144,19 @@ def test_planner_cuts_equal_single_pass(data):
 @given(st.data())
 @settings(max_examples=15, deadline=None)
 def test_shard_pool_equals_single_pass(data):
+    """Thread mode: one pass on the calling thread."""
+    _check_pool_equals_single_pass(data, "thread")
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_process_pool_equals_single_pass(data):
+    """Process mode fans out: overlap plans for bounded widths, SFA
+    mappings folded for unbounded ones."""
+    _check_pool_equals_single_pass(data, "process")
+
+
+def _check_pool_equals_single_pass(data, mode: str) -> None:
     patterns = data.draw(st.lists(ere_patterns(), min_size=1, max_size=3))
     text = data.draw(input_strings(max_size=40))
     num_shards = data.draw(st.integers(min_value=1, max_value=4))
@@ -151,14 +166,22 @@ def test_shard_pool_equals_single_pass(data):
     mfsa = merge_fsas(fsas)
     oracle = _single_pass(mfsa, text)
 
-    artifact = Artifact(
-        key=ruleset_key(patterns),
-        patterns=list(patterns),
-        mfsas=[mfsa],
-        loaded_from_cache=False,
-    )
-    with ShardPool(artifact, num_shards=num_shards, backend=backend) as pool:
-        result = pool.scan(text.encode("latin-1"))
+    key = ruleset_key(patterns)
+    with tempfile.TemporaryDirectory() as root:
+        # process workers load the artifact by path
+        path = ArtifactStore(root).save(key, patterns, [mfsa]) if mode == "process" else None
+        artifact = Artifact(
+            key=key,
+            patterns=list(patterns),
+            mfsas=[mfsa],
+            loaded_from_cache=False,
+            path=path,
+        )
+        with ShardPool(artifact, num_shards=num_shards, backend=backend,
+                       mode=mode) as pool:
+            result = pool.scan(text.encode("latin-1"))
+    if mode == "process" and ruleset_max_width(patterns) is None:
+        assert result.strategy == "sfa"
     # ε-accepting rules travel compactly (all_offsets_rules), never as
     # enumerated tuples; full_matches() re-expands to oracle semantics.
     assert result.full_matches() == oracle
